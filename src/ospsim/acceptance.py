@@ -6,7 +6,7 @@ FAIL line per criterion.  All randomness is derived from one fixed seed,
 so the whole checklist is reproducible bit for bit.
 
 The energy-game check (criterion 12) compares the measured acceptance
-against cvqc.target_rate, where alpha is the ground energy of the
+against cvqc.physical_rate, where alpha is the ground energy of the
 normalised Hamiltonian sum w_l P_l and so lies in [-1, 1].
 """
 
@@ -557,7 +557,7 @@ def criterion_12() -> CriterionResult:
     alpha = cvqc.min_eigenvalue(ham)
     params = cvqc.GameParams(0.2, alpha)
     direct = cvqc.estimate_value(ham, params, 100_000, _rng("c12", "direct"))
-    bench = cvqc.target_rate(params)
+    bench = cvqc.physical_rate(params)
     clause_a = abs(direct["value"] - bench) <= 0.01
     delegated = cvqc.estimate_value(ham, params, 10_000,
                                     _rng("c12", "delegated"), delegated=True)

@@ -1,11 +1,12 @@
 """Command-line front end for the simulation toolkit.
 
-Every subcommand accepts --seed (defaulting to the OSPSIM_SEED environment
-variable, then 0) and prints a short plain-text report.  The two-party
-protocols additionally run over TCP: --listen serves the server role of a
-single session, --connect dials a listener and plays the client.  With
---out the session transcript (or the run summary, for local Monte-Carlo
-commands) is written as JSON.
+Every subcommand but selftest, whose checks carry fixed seeds, accepts
+--seed (defaulting to the OSPSIM_SEED environment variable, then 0), and
+each prints a short plain-text report and accepts only the options it
+reads.  The two-party protocols additionally run over TCP: --listen serves
+the server role of a single session, --connect dials a listener and plays
+the client.  With --out the session transcript (or the run summary, for
+local Monte-Carlo commands) is written as JSON.
 """
 
 from __future__ import annotations
@@ -29,19 +30,30 @@ def _default_seed() -> int:
         return 0
 
 
-def _add_common(parser, wire=False):
-    parser.add_argument("--seed", type=int, default=None,
-                        help="run seed (default: $OSPSIM_SEED or 0)")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="number of rounds or repetitions")
-    parser.add_argument("--lambda", dest="lam", type=int, default=None,
-                        help="instance count / security parameter")
-    parser.add_argument("--n", type=int, default=None,
-                        help="claw-function input width")
-    parser.add_argument("--delta", type=str, default=None,
-                        help="claw density as a fraction, e.g. 1/2")
+_OPTIONS = {
+    "trials": ("--trials", dict(type=int,
+                                help="number of rounds or repetitions")),
+    "lam": ("--lambda", dict(dest="lam", type=int,
+                             help="instance count / security parameter")),
+    "n": ("--n", dict(type=int, help="claw-function input width")),
+    "delta": ("--delta", dict(type=str,
+                              help="claw density as a fraction, e.g. 1/2")),
+}
+
+
+def _add_common(parser, seed=True, wire=False, **defaults):
+    """Add --out, --seed unless told not to, and each option in defaults.
+
+    defaults maps option names (trials, lam, n, delta) to their defaults.
+    """
+    if seed:
+        parser.add_argument("--seed", type=int, default=None,
+                            help="run seed (default: $OSPSIM_SEED or 0)")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write the transcript or summary as JSON")
+    for name, default in defaults.items():
+        flag, kwargs = _OPTIONS[name]
+        parser.add_argument(flag, default=default, **kwargs)
     if wire:
         parser.add_argument("--listen", metavar="HOST:PORT", default=None,
                             help="serve one session on this endpoint")
@@ -91,8 +103,7 @@ def _wire_session(args, protocol, config):
 
 
 def cmd_poq(args):
-    trials = args.trials if args.trials is not None else 2000
-    n = args.n if args.n is not None else 3
+    trials, n = args.trials, args.n
     if args.listen or args.connect:
         return _wire_session(args, "poq", {"rounds": trials, "n": n})
     seed = _seed_of(args)
@@ -108,8 +119,7 @@ def cmd_poq(args):
 
 
 def cmd_puzzle(args):
-    lam = args.lam if args.lam is not None else 1024
-    n = args.n if args.n is not None else 2
+    lam, n = args.lam, args.n
     threshold = args.threshold
     source = args.source
     if source == "auto":
@@ -164,7 +174,7 @@ def cmd_delegate(args):
 
 
 def cmd_ot(args):
-    lam = args.lam if args.lam is not None else 8
+    lam = args.lam
     config = {"lam": lam, "b": args.b, "variant": args.variant}
     if args.cheat:
         config["cheat"] = args.cheat
@@ -186,7 +196,7 @@ def cmd_ot(args):
 
 
 def cmd_pke(args):
-    trials = args.trials if args.trials is not None else 200
+    trials = args.trials
     seed = _seed_of(args)
     rng = harness.derive_rng(seed, "pke")
     good = 0
@@ -204,7 +214,7 @@ def cmd_pke(args):
 
 
 def cmd_commit(args):
-    lam = args.lam if args.lam is not None else 8
+    lam = args.lam
     seed = _seed_of(args)
     rng = harness.derive_rng(seed, "commit")
     code = 0
@@ -229,7 +239,7 @@ def cmd_commit(args):
 
 
 def cmd_cvqc(args):
-    rounds = args.trials if args.trials is not None else 2000
+    rounds = args.trials
     if args.ham:
         with open(args.ham, "r", encoding="utf-8") as fh:
             ham = cvqc.parse_hamiltonian(fh.read())
@@ -244,8 +254,7 @@ def cmd_cvqc(args):
     print("rounds=%d accepted=%d value=%.4f ci=[%.4f, %.4f]"
           % (est["rounds"], est["accepted"], est["value"],
              est["low"], est["high"]))
-    print("physical=%.4f benchmark=%.4f"
-          % (cvqc.physical_rate(params), cvqc.target_rate(params)))
+    print("physical=%.4f" % cvqc.physical_rate(params))
     if args.out:
         _write_json(args.out, {"command": "cvqc", "seed": seed,
                                "delegated": bool(args.delegated),
@@ -271,9 +280,8 @@ def cmd_osp_trace(args):
         out = osp.osp_from_csg(source, b, rng)
     else:
         n = args.n if args.n is not None else 2
-        lam = args.lam if args.lam is not None else 2
-        delta = Fraction(args.delta) if args.delta else Fraction(1, 2)
-        out = osp.amplified_two_round_osp(b, lam, rng, n, 1, delta)
+        out = osp.amplified_two_round_osp(b, args.lam, rng, n, 1,
+                                          Fraction(args.delta))
     for msg in out.transcript:
         print("%-8s %-16s %s" % (msg["role"], msg["kind"],
                                  json.dumps(msg["payload"], sort_keys=True,
@@ -315,11 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poq", help="quantumness test acceptance rate")
-    _add_common(p, wire=True)
+    _add_common(p, wire=True, trials=2000, n=3)
     p.set_defaults(func=cmd_poq)
 
     p = sub.add_parser("puzzle", help="1-of-2 puzzle roundtrip")
-    _add_common(p)
+    _add_common(p, lam=1024, n=2)
     p.add_argument("--threshold", type=float, default=0.82)
     p.add_argument("--source", choices=("auto", "tcf", "ideal"),
                    default="auto")
@@ -332,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_delegate)
 
     p = sub.add_parser("ot", help="1-of-2 oblivious transfer session")
-    _add_common(p, wire=True)
+    _add_common(p, wire=True, lam=8)
     p.add_argument("--b", type=int, choices=(0, 1), default=0)
     p.add_argument("--variant", choices=("search", "indistinguishability"),
                    default="search")
@@ -340,15 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ot)
 
     p = sub.add_parser("pke", help="bit encryption roundtrips")
-    _add_common(p)
+    _add_common(p, trials=200)
     p.set_defaults(func=cmd_pke)
 
     p = sub.add_parser("commit", help="commitment rounds and binding probe")
-    _add_common(p)
+    _add_common(p, lam=8)
     p.set_defaults(func=cmd_commit)
 
     p = sub.add_parser("cvqc", help="energy-test verification game")
-    _add_common(p)
+    _add_common(p, trials=2000)
     p.add_argument("--kappa", type=float, default=0.2)
     p.add_argument("--alpha", type=float, default=-1.0,
                    help="promised energy, in [-1, 1] for sum w_l P_l")
@@ -358,14 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cvqc)
 
     p = sub.add_parser("osp-trace", help="verbose single preparation run")
-    _add_common(p)
+    # --n defaults per path: 3 two-round, 4 multi-round, 2 amplified
+    _add_common(p, n=None, lam=2, delta="1/2")
     p.add_argument("--b", type=int, choices=(0, 1), default=0)
     p.add_argument("--path", choices=("two-round", "multi-round",
                                       "amplified"), default="two-round")
     p.set_defaults(func=cmd_osp_trace)
 
     p = sub.add_parser("selftest", help="run the acceptance checklist")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--only", type=int, default=None, metavar="N",
                    help="run a single numbered check")
     p.set_defaults(func=cmd_selftest)

@@ -19,17 +19,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import delegation, qsim
+from . import delegation, gf2, qsim
 
 REJECTION_LIMIT = 10 ** 4
 HONEST_CHSH = math.cos(math.pi / 8) ** 2
 _SQRT2 = math.sqrt(2.0)
 
-_EYE2 = np.eye(2, dtype=complex)
-_PAULI = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_AXES = ("X", "Z")
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,7 @@ class Hamiltonian:
         for axis, i, j, weight in self.terms:
             axis = str(axis).upper()
             i, j, weight = int(i), int(j), float(weight)
-            if axis not in _PAULI:
+            if axis not in _AXES:
                 raise ValueError("axis must be X or Z, got %r" % axis)
             if i == j:
                 raise ValueError("term acts on two distinct qubits")
@@ -80,27 +76,12 @@ class Hamiltonian:
 
 def parse_hamiltonian(text: str) -> Hamiltonian:
     """Read the line format: a QUBITS header, then one term per line."""
-    num_qubits = None
+    num_qubits, rows = delegation.read_line_format(text, "term")
     terms = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0].upper() == "QUBITS":
-            if num_qubits is not None:
-                raise ValueError("line %d: duplicate QUBITS header" % lineno)
-            if len(parts) != 2:
-                raise ValueError("line %d: QUBITS takes one count" % lineno)
-            num_qubits = int(parts[1])
-            continue
-        if num_qubits is None:
-            raise ValueError("line %d: term before QUBITS header" % lineno)
+    for lineno, parts in rows:
         if len(parts) != 4:
             raise ValueError("line %d: want AXIS i j weight" % lineno)
         terms.append((parts[0], int(parts[1]), int(parts[2]), float(parts[3])))
-    if num_qubits is None:
-        raise ValueError("missing QUBITS header")
     return Hamiltonian(num_qubits, tuple(terms))
 
 
@@ -114,9 +95,9 @@ def format_hamiltonian(ham: Hamiltonian) -> str:
 @lru_cache(maxsize=4096)
 def _pauli_string_cached(axis: str, support: tuple) -> np.ndarray:
     out = np.array([[1.0]], dtype=complex)
-    single = _PAULI[axis]
+    single, eye = qsim.GATES[axis], np.eye(2, dtype=complex)
     for bit in support:
-        out = np.kron(out, single if bit else _EYE2)
+        out = np.kron(out, single if bit else eye)
     out.setflags(write=False)
     return out
 
@@ -126,7 +107,7 @@ def pauli_string(axis: str, support) -> np.ndarray:
 
     The returned array is cached and read only.
     """
-    if axis not in _PAULI:
+    if axis not in _AXES:
         raise ValueError("axis must be X or Z")
     return _pauli_string_cached(axis, tuple(int(b) for b in support))
 
@@ -168,6 +149,10 @@ class GameParams:
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError("kappa must lie in [0, 1]")
+        # alpha is an energy of sum w_l P_l; the slack absorbs the rounding
+        # of a computed ground energy at -1 or 1
+        if not abs(self.alpha) <= 1.0 + 1e-9:
+            raise ValueError("alpha must lie in [-1, 1]")
         if not self.beta > self.alpha:
             raise ValueError("the energy window needs beta > alpha")
 
@@ -219,10 +204,6 @@ def sample_question(ham: Hamiltonian, params: GameParams, rng) -> Question:
     return Question("commutation", y, a, b)
 
 
-def _dot(u, v) -> int:
-    return sum(x & y for x, y in zip(u, v)) & 1
-
-
 def verify(question: Question, answers, ham: Hamiltonian, rng) -> bool:
     """Referee predicate.  Teleport rounds sample a display term here."""
     s_a, s_b = answers
@@ -233,7 +214,7 @@ def verify(question: Question, answers, ham: Hamiltonian, rng) -> bool:
         raise ValueError("second answer must carry one bit per qubit")
     if question.kind in ("chsh", "commutation"):
         side = question.a if question.y == 0 else question.b
-        z = _dot(side, s_b)
+        z = gf2.dot(side, s_b)
         if question.kind == "chsh":
             if len(s_a) != 1:
                 raise ValueError("CHSH answer is a single bit")
@@ -466,23 +447,14 @@ def teleport_rate(alpha: float) -> float:
 def physical_rate(params: GameParams) -> float:
     """Exact honest acceptance when the data register has energy alpha.
 
-    alpha is an energy of H = sum w_l P_l, in [-1, 1].  CHSH and
-    commutation rounds (probability 1 - kappa, split evenly) are won at
-    cos^2(pi/8) and 1; teleport rounds at teleport_rate(alpha).
+    This is the promised completeness rate.  alpha is an energy of
+    H = sum w_l P_l, in [-1, 1].  CHSH and commutation rounds (probability
+    1 - kappa, split evenly) are won at cos^2(pi/8) and 1; teleport rounds
+    at teleport_rate(alpha).
     """
     kappa = params.kappa
     return (0.5 * (1.0 - kappa) * (1.0 + HONEST_CHSH)
             + kappa * teleport_rate(params.alpha))
-
-
-def target_rate(params: GameParams) -> float:
-    """Benchmark completeness rate for a prover holding energy alpha.
-
-    alpha is an eigenvalue of H = sum w_l P_l, in [-1, 1]; an honest
-    prover holding such an eigenstate wins at exactly physical_rate, so
-    that is the promised rate, in [0, 1] for every kappa in [0, 1].
-    """
-    return physical_rate(params)
 
 
 def anticommutator_norm(a, b) -> float:

@@ -6,6 +6,15 @@ simple rules; each adjoint-T gate leaks a phase-gate correction whose
 power equals the current X key, which the client fixes up remotely with
 the teleported phase gadget.  The server only ever sees padded bits and
 uniformly random measurement outcomes.
+
+A run may start from an existing register, which fills the leading wires;
+the classical input fills the trailing ones.  Those input wires are kept
+as bits, never as amplitudes, when every gate touching them keeps them
+basis states: X, the phase gates Z/P/PDG/T/TDG, a CNOT between two of
+them, or a CNOT they control.  Otherwise they join the dense state before
+the first gate.  A DelegationResult therefore holds a dense state over
+the leading wires and the padded bits of the rest; unpad_state joins the
+two into the full output.
 """
 
 from __future__ import annotations
@@ -48,27 +57,38 @@ class Circuit:
         return sum(1 for name, _ in self.gates if name in NON_CLIFFORD_GATES)
 
 
-def parse_circuit(text: str) -> Circuit:
-    """Read the line format: a QUBITS header, then one gate per line."""
+def read_line_format(text: str, item: str):
+    """Split a QUBITS-headed line file into (num_qubits, [(lineno, fields)]).
+
+    Circuit and Hamiltonian files share this shape: '#' starts a comment,
+    and one QUBITS n header precedes every item line.
+    """
     num_qubits = None
-    gates = []
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if parts[0].upper() == "QUBITS":
             if num_qubits is not None:
                 raise ValueError("line %d: duplicate QUBITS header" % lineno)
             if len(parts) != 2:
                 raise ValueError("line %d: QUBITS takes one count" % lineno)
             num_qubits = int(parts[1])
-            continue
-        if num_qubits is None:
-            raise ValueError("line %d: gate before QUBITS header" % lineno)
-        gates.append((parts[0], tuple(int(p) for p in parts[1:])))
+        elif num_qubits is None:
+            raise ValueError("line %d: %s before QUBITS header"
+                             % (lineno, item))
+        else:
+            rows.append((lineno, parts))
     if num_qubits is None:
         raise ValueError("missing QUBITS header")
+    return num_qubits, rows
+
+
+def parse_circuit(text: str) -> Circuit:
+    """Read the line format: a QUBITS header, then one gate per line."""
+    num_qubits, rows = read_line_format(text, "gate")
+    gates = [(parts[0], tuple(int(p) for p in parts[1:])) for _, parts in rows]
     return Circuit(num_qubits, tuple(gates))
 
 
@@ -159,10 +179,46 @@ class PauliFrame:
 
 @dataclass
 class DelegationResult:
+    """state covers the dense wires [0, k); bits the classical ones [k, n)."""
+
     circuit: Circuit
     state: qsim.DenseState
     frame: PauliFrame
     transcript: list = field(default_factory=list)
+    bits: tuple = ()
+
+
+# Gates that keep a basis-state wire a basis state.  Phase gates only add
+# a global phase there, which is dropped.
+_BIT_GATES = ("X", "Z", "P", "PDG", "T", "TDG", "CNOT")
+
+
+def _stays_classical(circuit: Circuit, split: int) -> bool:
+    """Whether every gate keeps the wires at or above split basis states."""
+    for name, qubits in circuit.gates:
+        if all(q < split for q in qubits):
+            continue
+        if all(q >= split for q in qubits):
+            if name not in _BIT_GATES:
+                return False
+        elif name != "CNOT" or qubits[0] < split:
+            return False
+    return True
+
+
+def _gate(state, name, qubits, split, bits):
+    """One Clifford gate on dense wires below split and bits above it."""
+    if all(q < split for q in qubits):
+        return qsim.apply_gate(state, name, qubits)
+    if name == "X":
+        bits[qubits[0] - split] ^= 1
+    elif name == "CNOT":
+        c, t = qubits
+        if t >= split:
+            bits[t - split] ^= bits[c - split]
+        elif bits[c - split]:
+            return qsim.apply_gate(state, "X", [t])
+    return state
 
 
 def delegate(circuit: Circuit, input_bits, rng, source=None,
@@ -172,85 +228,20 @@ def delegate(circuit: Circuit, input_bits, rng, source=None,
     pad_override fixes the input pad instead of sampling it, which lets
     tests couple two runs into identical server views.
     """
-    if source is None:
-        source = osp.ideal_stub_source
-    n = circuit.num_qubits
-    bits = tuple(int(b) for b in input_bits)
-    if len(bits) != n:
-        raise ValueError("input width mismatch")
-    if pad_override is None:
-        pad = tuple(int(t) for t in rng.integers(0, 2, n))
-    else:
-        pad = tuple(int(t) for t in pad_override)
-        if len(pad) != n:
-            raise ValueError("pad width mismatch")
-
-    frame = PauliFrame(pad, [0] * n)
-    padded = tuple(b ^ p for b, p in zip(bits, pad))
-    state = qsim.DenseState.from_bits(padded)
-    transcript = [
-        {"role": "client", "kind": "padded-input",
-         "payload": {"bits": list(padded)}},
-    ]
-
-    segments, targets = compile_alternating(circuit)
-    for i, segment in enumerate(segments):
-        for name, qubits in segment:
-            state = qsim.apply_gate(state, name, qubits)
-            frame.apply_clifford(name, qubits)
-        if i < len(targets):
-            q = targets[i]
-            state = qsim.apply_gate(state, "TDG", [q])
-            res = gadgets.encrypted_phase(state, q, frame.r[q], rng, source)
-            state = res.state
-            frame.s[q] ^= res.z_key
-            transcript.append(
-                {"role": "server", "kind": "phase-outcome",
-                 "payload": {"m": res.outcome_bit}}
-            )
-    return DelegationResult(circuit, state, frame, transcript)
-
-
-def _factored_gate(state, name, qubits, split, bits):
-    """One gate on a register split into dense wires and classical bits.
-
-    Wires below the split are dense; wires at or above it are tracked as
-    bits and may only see diagonal gates, bit permutations, or serve as
-    CNOT controls.  Diagonal gates on a basis-state wire contribute a
-    global phase, which is dropped.
-    """
-    hi = [q for q in qubits if q >= split]
-    if not hi:
-        return qsim.apply_gate(state, name, qubits)
-    if len(hi) == len(qubits):
-        if name == "X":
-            bits[qubits[0] - split] ^= 1
-        elif name == "CNOT":
-            bits[qubits[1] - split] ^= bits[qubits[0] - split]
-        elif name not in ("Z", "P", "PDG", "T", "TDG"):
-            raise ValueError("%s would leave the classical wires" % name)
-        return state
-    if name != "CNOT" or qubits[0] < split:
-        raise ValueError("%s entangles a classical wire" % name)
-    if bits[qubits[0] - split]:
-        return qsim.apply_gate(state, "X", [qubits[1]])
-    return state
+    return delegate_on_state(circuit, qsim.DenseState.from_bits(()),
+                             input_bits, rng, source, pad_override)
 
 
 def delegate_on_state(circuit: Circuit, state: qsim.DenseState, input_bits,
-                      rng, source=None, pad_override=None,
-                      factor_classical=True) -> DelegationResult:
+                      rng, source=None, pad_override=None) -> DelegationResult:
     """Delegate a circuit whose leading wires hold an existing register.
 
     The quantum register enters with zero pad keys; only the trailing
     classical wires are hidden under a fresh X pad.  Wires the circuit
     never touches keep zero keys throughout, so their reduced state needs
-    no correction afterwards.
-
-    With factor_classical the classical wires are simulated symbolically;
-    they stay basis states, so this consumes the same randomness and
-    returns the same result (up to a global phase) as the dense run while
-    keeping the state vector small.
+    no correction afterwards.  The classical wires are kept as bits or put
+    on the dense state as the module docstring says; both ways draw the
+    same randomness and give the same result up to a global phase.
     """
     if source is None:
         source = osp.ideal_stub_source
@@ -267,46 +258,48 @@ def delegate_on_state(circuit: Circuit, state: qsim.DenseState, input_bits,
             raise ValueError("pad width mismatch")
 
     frame = PauliFrame([0] * k + list(pad), [0] * n)
-    padded = list(b ^ p for b, p in zip(bits, pad))
-    full = state
-    if bits and not factor_classical:
-        full = full.tensor(qsim.DenseState.from_bits(padded))
+    padded = [b ^ p for b, p in zip(bits, pad)]
     transcript = [
         {"role": "client", "kind": "padded-input",
          "payload": {"bits": list(padded), "register": k}},
     ]
+    split = k
+    if not _stays_classical(circuit, k):
+        state = state.tensor(qsim.DenseState.from_bits(padded))
+        split, padded = n, []
 
     segments, targets = compile_alternating(circuit)
     for i, segment in enumerate(segments):
         for name, qubits in segment:
-            if factor_classical:
-                full = _factored_gate(full, name, qubits, k, padded)
-            else:
-                full = qsim.apply_gate(full, name, qubits)
+            state = _gate(state, name, qubits, split, padded)
             frame.apply_clifford(name, qubits)
         if i < len(targets):
             q = targets[i]
-            if factor_classical and q >= k:
-                tiny = qsim.DenseState.from_bits((padded[q - k],))
+            if q >= split:
+                tiny = qsim.DenseState.from_bits((padded[q - split],))
                 tiny = qsim.apply_gate(tiny, "TDG", [0])
                 res = gadgets.encrypted_phase(tiny, 0, frame.r[q], rng, source)
             else:
-                full = qsim.apply_gate(full, "TDG", [q])
-                res = gadgets.encrypted_phase(full, q, frame.r[q], rng, source)
-                full = res.state
+                state = qsim.apply_gate(state, "TDG", [q])
+                res = gadgets.encrypted_phase(state, q, frame.r[q], rng, source)
+                state = res.state
             frame.s[q] ^= res.z_key
             transcript.append(
                 {"role": "server", "kind": "phase-outcome",
                  "payload": {"m": res.outcome_bit}}
             )
-    if bits and factor_classical:
-        full = full.tensor(qsim.DenseState.from_bits(tuple(padded)))
-    return DelegationResult(circuit, full, frame, transcript)
+    return DelegationResult(circuit, state, frame, transcript, tuple(padded))
 
 
 def unpad_state(result: DelegationResult) -> qsim.DenseState:
-    """Strip the Pauli pad, recovering the true circuit output."""
+    """Strip the Pauli pad, recovering the true circuit output.
+
+    The classical wires join the dense state here, so the output covers
+    every wire of the circuit.
+    """
     state = result.state
+    if result.bits:
+        state = state.tensor(qsim.DenseState.from_bits(result.bits))
     for q, bit in enumerate(result.frame.s):
         if bit:
             state = qsim.apply_gate(state, "Z", [q])
@@ -317,20 +310,31 @@ def unpad_state(result: DelegationResult) -> qsim.DenseState:
 
 
 def classical_output_round(result: DelegationResult, rng, wires=None) -> tuple:
-    """Server measures the named wires; client strips their X pads.
+    """Server reads out the named wires; client strips their X pads.
 
-    With wires=None every wire is read out.  The post-measurement state is
-    kept on the result so the remaining wires stay usable.
+    With wires=None every wire is read out.  Dense wires are measured and
+    the post-measurement state is kept on the result so the remaining
+    wires stay usable; classical wires are read off their bits, which
+    draws no randomness.
     """
     if wires is None:
         qubits = list(range(result.circuit.num_qubits))
     else:
         qubits = [int(q) for q in wires]
-    raw, post = qsim.measure(result.state, qubits, qsim.Basis.Z, rng)
-    result.state = post
+    if len(set(qubits)) != len(qubits):
+        raise ValueError("duplicate readout wire")
+    if any(not 0 <= q < result.circuit.num_qubits for q in qubits):
+        raise ValueError("readout wire out of range")
+    split = result.state.num_qubits
+    dense = [q for q in qubits if q < split]
+    read = {}
+    if dense:
+        raw, result.state = qsim.measure(result.state, dense, qsim.Basis.Z, rng)
+        read = dict(zip(dense, raw))
+    raw = [read[q] if q < split else result.bits[q - split] for q in qubits]
     result.transcript.append(
         {"role": "server", "kind": "readout",
-         "payload": {"wires": qubits, "bits": list(raw)}}
+         "payload": {"wires": qubits, "bits": raw}}
     )
     return tuple(b ^ result.frame.r[q] for b, q in zip(raw, qubits))
 

@@ -274,15 +274,8 @@ def run_local(protocol: str, seed: int, config=None) -> dict:
     server = make_party(protocol, "server", seed, config)
     session = session_id(protocol, seed)
     seq = _Sequencer(session)
-    messages = []
-    queue = [(client, None)]
-    while queue:
-        party, incoming = queue.pop(0)
-        replies = party.on_message(incoming)
-        peer = server if party is client else client
-        for raw in replies:
-            messages.append(seq.stamp(party.role, raw))
-            queue.append((peer, raw))
+    messages = [seq.stamp(rec["role"], rec)
+                for rec in apps._drive(client, server)]
     out = {}
     for role, party in (("client", client), ("server", server)):
         outcome = {"status": "complete", "result": party.result}
@@ -368,7 +361,8 @@ def _socket_session(party, conn, protocol, seed, timeout):
 
     Returns (status, detail, messages).  The local party speaks first when
     it is the client; turns then strictly alternate.  Two consecutive
-    empty turns end the session.
+    empty turns end the session.  A peer message the party cannot handle,
+    whatever the party raises for it, ends the session with status error.
     """
     session = session_id(protocol, seed)
     seq = _Sequencer(session)
@@ -385,7 +379,14 @@ def _socket_session(party, conn, protocol, seed, timeout):
             if pending is not None:
                 outgoing = []
                 for raw in pending:
-                    outgoing.extend(party.on_message(raw))
+                    try:
+                        outgoing.extend(party.on_message(raw))
+                    except Exception as exc:
+                        if raw is None:  # the opening call reads no peer input
+                            raise
+                        return ("error", "%s message rejected: %s: %s"
+                                % (raw["kind"], type(exc).__name__, exc),
+                                messages)
                 batch = [seq.stamp(party.role, raw) for raw in outgoing]
                 messages.extend(batch)
                 _send_turn(fh, batch)

@@ -128,7 +128,7 @@ class DenseState:
     num_qubits: int
     amplitudes: np.ndarray
 
-    def __init__(self, amplitudes, registers=None):
+    def __init__(self, amplitudes):
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
         n = int(vec.size).bit_length() - 1
         if 1 << n != vec.size:
@@ -145,7 +145,6 @@ class DenseState:
         vec.flags.writeable = False
         self.num_qubits = n
         self.amplitudes = vec
-        self.registers = dict(registers) if registers else None
 
     @classmethod
     def from_bits(cls, bits) -> "DenseState":
@@ -199,7 +198,7 @@ def apply_gate(state: DenseState, gate, qubits) -> DenseState:
     shaped = mat @ shaped
     arr = shaped.reshape((2,) * n)
     arr = np.moveaxis(arr, range(k), qubits)
-    return DenseState(arr.reshape(-1), registers=state.registers)
+    return DenseState(arr.reshape(-1))
 
 
 def measure(state: DenseState, qubits, basis, rng):
@@ -229,7 +228,7 @@ def measure(state: DenseState, qubits, basis, rng):
     post[outcome] = block[outcome] / math.sqrt(probs[outcome])
     arr = post.reshape((2,) * n)
     arr = np.moveaxis(arr, range(k), qubits)
-    result = DenseState(arr.reshape(-1), registers=state.registers)
+    result = DenseState(arr.reshape(-1))
     if basis != Basis.Z:
         inv = rot.conj().T
         for q in qubits:
@@ -505,7 +504,7 @@ def apply_bit_function(state: DenseState, input_qubits, fn, out_width: int):
         if not 0 <= val < (1 << out_width):
             raise ValueError("bit function value out of range")
         new[(int(idx) << out_width) | val] = amps[idx]
-    return DenseState(new, registers=state.registers)
+    return DenseState(new)
 
 
 def drop_qubits(state: DenseState, qubits, expected_bits) -> DenseState:

@@ -91,7 +91,24 @@ def test_cvqc_command(capsys):
     code = cli.main(["cvqc", "--trials", "60", "--seed", "9"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "value=" in out and "physical=" in out
+    assert "value=" in out and out.count("physical=") == 1
+    assert "benchmark=" not in out
+    with pytest.raises(ValueError):
+        cli.main(["cvqc", "--kappa", "1", "--alpha", "5", "--beta", "6"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["delegate", "--circuit", "c.qc", "--input", "1", "--trials", "5"],
+    ["cvqc", "--lambda", "4"],
+    ["selftest", "--seed", "1"],
+    ["poq", "--delta", "1/2"],
+    ["osp-trace", "--trials", "3"],
+])
+def test_unread_options_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_osp_trace_paths(capsys):

@@ -232,8 +232,7 @@ def test_delegate_on_state_matches_direct_evaluation():
             continue
         reg = _register(rng, reg_width)
         bits = tuple(int(b) for b in rng.integers(0, 2, n_in))
-        res = delegation.delegate_on_state(circ, reg, bits, rng,
-                                           factor_classical=False)
+        res = delegation.delegate_on_state(circ, reg, bits, rng)
         got = delegation.unpad_state(res)
         ref = reg
         if bits:
@@ -262,38 +261,71 @@ def test_delegate_on_state_classical_round_subset():
 
 
 def test_delegate_on_state_factored_equals_dense():
-    """Symbolic classical wires: same transcript, frame, and readout."""
-    circ = delegation.Circuit(4, (
+    """Classical wires kept as bits: same transcript, frame, readout, state.
+
+    Appending H q; H q on a classical wire changes neither the unitary,
+    the frame nor the random draws, but sends the run down the dense path.
+    """
+    gates = (
         ("T", (2,)), ("CNOT", (2, 0)), ("CNOT", (3, 1)), ("T", (0,)),
         ("TDG", (1,)), ("CNOT", (2, 3)), ("P", (2,)), ("Z", (3,)),
         ("CNOT", (3, 0)),
-    ))
+    )
+    circ = delegation.Circuit(4, gates)
+    forced = delegation.Circuit(4, gates + (("H", (3,)), ("H", (3,))))
     reg = _register(rng_for(33), 2)
     for seed in range(12):
-        dense = delegation.delegate_on_state(
-            circ, reg, (1, 0), rng_for(60 + seed), factor_classical=False)
-        fact = delegation.delegate_on_state(
-            circ, reg, (1, 0), rng_for(60 + seed), factor_classical=True)
+        fact = delegation.delegate_on_state(circ, reg, (1, 0),
+                                            rng_for(60 + seed))
+        dense = delegation.delegate_on_state(forced, reg, (1, 0),
+                                             rng_for(60 + seed))
+        assert fact.state.num_qubits == 2 and len(fact.bits) == 2
+        assert dense.state.num_qubits == 4 and dense.bits == ()
         assert json.dumps(dense.transcript) == json.dumps(fact.transcript)
         assert dense.frame.r == fact.frame.r
         assert dense.frame.s == fact.frame.s
-        overlap = abs(np.vdot(dense.state.amplitudes, fact.state.amplitudes))
+        overlap = abs(np.vdot(delegation.unpad_state(dense).amplitudes,
+                              delegation.unpad_state(fact).amplitudes))
         assert overlap > 1 - 1e-9
         d_bits = delegation.classical_output_round(
-            dense, rng_for(70 + seed), wires=[0, 1])
+            dense, rng_for(70 + seed), wires=[0, 3, 1])
         f_bits = delegation.classical_output_round(
-            fact, rng_for(70 + seed), wires=[0, 1])
+            fact, rng_for(70 + seed), wires=[0, 3, 1])
         assert d_bits == f_bits
+        assert json.dumps(dense.transcript) == json.dumps(fact.transcript)
 
 
-def test_delegate_on_state_rejects_entangling_classical_wires():
-    reg = qsim.DenseState.from_bits((0,))
+def test_delegate_on_state_runs_entangling_classical_wires_dense():
+    """Gates that move a classical wire off the basis put it on the state."""
+    rng = rng_for(34)
+    for gates in ((("H", (1,)),), (("CNOT", (0, 1)),),
+                  (("CNOT", (1, 0)), ("T", (1,)), ("H", (1,)))):
+        circ = delegation.Circuit(2, gates)
+        reg = _register(rng, 1)
+        for bit in (0, 1):
+            res = delegation.delegate_on_state(circ, reg, (bit,), rng)
+            assert res.state.num_qubits == 2 and res.bits == ()
+            want = delegation.apply_circuit(
+                reg.tensor(qsim.DenseState.from_bits((bit,))), circ)
+            got = delegation.unpad_state(res)
+            assert abs(np.vdot(want.amplitudes, got.amplitudes)) > 1 - 1e-9
+
+
+def test_classical_readout_draws_no_randomness():
+    """A readout of classical wires only is read off the bits."""
+    circ = delegation.Circuit(3, (("CNOT", (1, 2)), ("X", (1,)), ("T", (2,))))
+    reg = qsim.DenseState.from_bits((1,))
+    res = delegation.delegate_on_state(circ, reg, (1, 0), rng_for(35))
+    assert res.state.num_qubits == 1 and len(res.bits) == 2
+    rng = rng_for(36)
+    before = rng.bit_generator.state
+    assert delegation.classical_output_round(res, rng, wires=[2, 1]) == (1, 0)
+    assert rng.bit_generator.state == before
+    assert res.transcript[-1]["payload"]["wires"] == [2, 1]
     with pytest.raises(ValueError):
-        delegation.delegate_on_state(
-            delegation.Circuit(2, (("H", (1,)),)), reg, (0,), rng_for(0))
+        delegation.classical_output_round(res, rng, wires=[1, 1])
     with pytest.raises(ValueError):
-        delegation.delegate_on_state(
-            delegation.Circuit(2, (("CNOT", (0, 1)),)), reg, (0,), rng_for(0))
+        delegation.classical_output_round(res, rng, wires=[3])
 
 
 def test_delegate_on_state_validation():

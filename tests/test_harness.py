@@ -295,3 +295,109 @@ def test_out_of_order_seq_is_an_error():
     listener.close()
     assert box["server"].outcome["status"] == "error"
     assert "seq" in box["server"].outcome["detail"]
+
+
+# ------------------------------------------------------------- peer faults
+
+STATUSES = ("complete", "error", "timeout", "disconnected")
+
+
+def _serve_against(protocol, config, turn, seed=5):
+    """Serve one session to a scripted client that sends `turn` and then
+    an empty turn, and return the server transcript.
+
+    serve_on must return, whatever the client sent; an exception it
+    raises fails the test.
+    """
+    listener = harness.open_listener("127.0.0.1", 0)
+    port = listener.getsockname()[1]
+    box = {}
+
+    def serve():
+        box["server"] = harness.serve_on(listener, protocol, seed, config,
+                                         timeout=5.0)
+
+    th = threading.Thread(target=serve)
+    th.start()
+    try:
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10.0) as conn:
+            fh = conn.makefile("rwb")
+            harness._send_control(fh, harness._hello(
+                protocol, harness.session_id(protocol, seed), seed))
+            harness._recv_control(fh)
+            harness._send_turn(fh, turn)
+            harness._send_turn(fh, [])
+            try:
+                while conn.recv(4096):  # drain until the server hangs up
+                    pass
+            except OSError:
+                pass
+            fh.close()
+    finally:
+        th.join()
+        listener.close()
+    return box["server"]
+
+
+@pytest.mark.parametrize("kind,payload,detail", [
+    ("bogus", {}, "unexpected message kind 'bogus'"),    # unknown kind
+    ("challenge", {}, "KeyError"),                       # missing key
+    ("round-params", [1, 2], "TypeError"),               # payload not a dict
+], ids=["unknown-kind", "missing-key", "payload-not-a-dict"])
+def test_party_fault_ends_the_session_with_error(kind, payload, detail):
+    sid = harness.session_id("poq", 5)
+    msg = harness.Message(sid, 0, "client", kind, payload)
+    server = _serve_against("poq", {"rounds": 1}, [msg])
+    assert server.outcome["status"] == "error"
+    assert server.outcome["result"] is None
+    assert detail in server.outcome["detail"]
+    assert server.messages == [msg]
+
+
+def test_out_of_range_check_set_ends_the_receiver_session():
+    """An OT check-set index >= 2 lambda is a peer fault, not a crash."""
+    seed, config = 8, {"lam": 4, "b": 1}
+    sid = harness.session_id("ot", seed)
+    listener = harness.open_listener("127.0.0.1", 0)
+    port = listener.getsockname()[1]
+
+    def fake_sender():
+        conn, _ = listener.accept()
+        with conn:
+            fh = conn.makefile("rwb")
+            harness._recv_control(fh)
+            harness._send_control(fh, harness._hello("ot", sid, seed))
+            harness._recv_turn(fh)  # the obligations
+            harness._send_turn(fh, [harness.Message(
+                sid, 0, "server", "check-set", {"T": [0, 8]})])
+            try:
+                harness._recv_turn(fh)
+            except (ConnectionError, OSError):
+                pass
+            fh.close()
+
+    th = threading.Thread(target=fake_sender)
+    th.start()
+    client = harness.connect_and_run("ot", seed, "127.0.0.1", port, config,
+                                     timeout=10.0)
+    th.join()
+    listener.close()
+    assert client.outcome["status"] == "error"
+    assert "IndexError" in client.outcome["detail"]
+    assert [m.kind for m in client.messages] == ["obligations", "check-set"]
+
+
+@given(protocol=st.sampled_from(("poq", "ot")),
+       kind=st.sampled_from(("round-params", "evaluation", "challenge",
+                             "answer", "verdict", "obligations", "check-set",
+                             "openings", "outcome"))
+       | st.text(min_size=1, max_size=12),
+       payload=payloads)
+@settings(max_examples=30, deadline=None)
+def test_any_peer_message_ends_in_a_status(protocol, kind, payload):
+    sid = harness.session_id(protocol, 5)
+    msg = harness.Message(sid, 0, "client", kind, payload)
+    server = _serve_against(protocol, {"rounds": 1, "lam": 2}, [msg])
+    assert server.outcome["status"] in STATUSES
+    assert server.messages[:1] == [msg]
