@@ -24,7 +24,6 @@ from scipy import stats
 from . import apps, cvqc, delegation, gadgets, gf2, harness, osp, qsim, tcf
 
 ACCEPT_SEED = 0x05EED
-HONEST = math.cos(math.pi / 8) ** 2
 
 
 @dataclass
@@ -59,10 +58,10 @@ def criterion_1() -> CriterionResult:
     trials = 200_000
     rate = apps.poq_rate(trials, _rng("c1"), None, 3)
     elapsed = time.perf_counter() - started
-    gap = abs(rate - HONEST)
+    gap = abs(rate - qsim.COS2_PI_8)
     passed = gap <= 0.004 and elapsed <= 60.0
     detail = ("rate=%.5f target=%.5f |gap|=%.5f time=%.1fs (cap 60s)"
-              % (rate, HONEST, gap, elapsed))
+              % (rate, qsim.COS2_PI_8, gap, elapsed))
     return _result(1, "quantumness-honest-rate", passed, detail, started)
 
 

@@ -21,26 +21,14 @@ code runs in-process and over a socket harness.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gadgets, gf2, osp, qsim, tcf
 
-HONEST_SUCCESS = (2.0 + math.sqrt(2.0)) / 4.0  # best single-qubit agreement
-
 
 # --------------------------------------------------------------- utilities
-
-
-def phase_index(phase: complex) -> int:
-    """Index of a unit phase on the eighth-root grid."""
-    diffs = [abs(complex(phase) - p) for p in qsim.PHASE_GRID]
-    best = min(range(8), key=lambda k: diffs[k])
-    if diffs[best] > 1e-7:
-        raise ValueError("phase %r is off the grid" % (phase,))
-    return best
 
 
 def descriptor_to_json(d: qsim.TwoBranchState) -> dict:
@@ -48,7 +36,7 @@ def descriptor_to_json(d: qsim.TwoBranchState) -> dict:
         "width": d.width,
         "u": gf2.bits_to_text(d.u),
         "v": gf2.bits_to_text(d.v),
-        "phase": phase_index(d.phase),
+        "phase": qsim.phase_index(d.phase),
     }
 
 
@@ -354,7 +342,7 @@ def puzzle_solve(obligation: PuzzleObligation, challenge: int, rng) -> np.ndarra
     obligation.solved = True
     if obligation.source_kind == "ideal":
         target = obligation.s_bits ^ (obligation.r_hint & challenge)
-        flips = (rng.random(obligation.lam) >= HONEST_SUCCESS).astype(np.int64)
+        flips = (rng.random(obligation.lam) >= qsim.COS2_PI_8).astype(np.int64)
         return target ^ flips
     basis = qsim.Basis.XPLUSZ if challenge == 0 else qsim.Basis.XMINUSZ
     answers = np.empty(obligation.lam, dtype=np.int64)
@@ -520,17 +508,6 @@ def toy_extract(com):
 # ------------------------------------------------- 1-of-2 oblivious transfer
 
 
-@dataclass(frozen=True)
-class OtConfig:
-    lam: int
-    variant: str
-    check_set: tuple
-
-    @property
-    def total(self) -> int:
-        return 2 * self.lam
-
-
 @dataclass
 class OtResult:
     variant: str
@@ -600,6 +577,11 @@ class OtReceiverParty:
         if msg["kind"] == "check-set":
             check = sorted(int(i) for i in msg["payload"]["T"])
             picked = set(check)
+            # An index both opened and revealed would give b = b_i ^ x0 ^ x1.
+            if (len(check) != self.lam or len(picked) != self.lam
+                    or not all(0 <= i < 2 * self.lam for i in check)):
+                raise ValueError("check set must be %d distinct indices in "
+                                 "[0, %d)" % (self.lam, 2 * self.lam))
             checked = []
             for i in check:
                 x0, x1, z = self.claws[i]
@@ -663,8 +645,15 @@ class OtSenderParty:
             self.check_set = tuple(sorted(int(i) for i in picked))
             return [{"kind": "check-set", "payload": {"T": list(self.check_set)}}]
         if msg["kind"] == "openings":
-            caught = False
-            for entry in msg["payload"]["checked"]:
+            checked = msg["payload"]["checked"]
+            unchecked = msg["payload"]["unchecked"]
+            rest = [i for i in range(2 * self.lam) if i not in self.check_set]
+            # Open exactly the check set, reveal b_i once for every other i.
+            caught = (sorted(int(e["i"]) for e in checked) != list(self.check_set)
+                      or sorted(int(e["i"]) for e in unchecked) != rest)
+            if caught:
+                checked = unchecked = []
+            for entry in checked:
                 i = int(entry["i"])
                 declared = qsim.TwoBranchState(
                     2,
@@ -683,7 +672,7 @@ class OtSenderParty:
                 if not self.rng.random() < overlap:
                     caught = True
             r0_bits, r1_bits = [], []
-            for entry in msg["payload"]["unchecked"]:
+            for entry in unchecked:
                 i = int(entry["i"])
                 b_i = int(entry["b"])
                 state = self.states[i]

@@ -12,8 +12,8 @@ local Monte-Carlo commands) is written as JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -61,10 +61,24 @@ def _add_common(parser, seed=True, wire=False, **defaults):
                             help="dial a listening peer")
 
 
+class _UsageError(Exception):
+    """A bad option value; main reports it in one line and exits with 2."""
+
+
+@contextlib.contextmanager
+def _reading(flag=None):
+    """Report a ValueError or OSError in the block as a usage error."""
+    try:
+        yield
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        message = str(exc) if flag is None else "%s: %s" % (flag, exc)
+        raise _UsageError(message) from None
+
+
 def _endpoint(text):
     host, _, port = text.rpartition(":")
     if not port.isdigit():
-        raise SystemExit("endpoint %r is not HOST:PORT" % text)
+        raise _UsageError("endpoint %r is not HOST:PORT" % text)
     return host or "127.0.0.1", int(port)
 
 
@@ -109,7 +123,7 @@ def cmd_poq(args):
     seed = _seed_of(args)
     rng = harness.derive_rng(seed, "poq", "rate")
     rate = apps.poq_rate(trials, rng, None, n)
-    expected = math.cos(math.pi / 8) ** 2
+    expected = qsim.COS2_PI_8
     print("trials=%d rate=%.6f expected=%.6f" % (trials, rate, expected))
     if args.out:
         _write_json(args.out, {"command": "poq", "seed": seed,
@@ -145,30 +159,28 @@ def cmd_puzzle(args):
 
 
 def cmd_delegate(args):
-    with open(args.circuit, "r", encoding="utf-8") as fh:
+    with _reading("--circuit"), open(args.circuit, encoding="utf-8") as fh:
         circuit = delegation.parse_circuit(fh.read())
     if not args.input or any(c not in "01" for c in args.input):
-        raise SystemExit("--input must be a bit string like 1011")
+        raise _UsageError("--input must be a bit string like 1011")
     bits = tuple(int(c) for c in args.input)
     if len(bits) != circuit.num_qubits:
-        raise SystemExit("input has %d bits but the circuit has %d qubits"
-                         % (len(bits), circuit.num_qubits))
+        raise _UsageError("input has %d bits but the circuit has %d qubits"
+                          % (len(bits), circuit.num_qubits))
     seed = _seed_of(args)
     rng = harness.derive_rng(seed, "delegate")
     result = delegation.delegate(circuit, bits, rng)
     actual = delegation.unpad_state(result)
     direct = delegation.apply_circuit(qsim.DenseState.from_bits(bits), circuit)
     fid = qsim.fidelity(actual, direct)
-    t_count = sum(1 for name, _ in circuit.gates
-                  if name in delegation.NON_CLIFFORD_GATES)
     print("qubits=%d gates=%d t-gates=%d" %
-          (circuit.num_qubits, len(circuit.gates), t_count))
+          (circuit.num_qubits, len(circuit.gates), circuit.t_count))
     print("fidelity=%.12f" % fid)
     if args.out:
         _write_json(args.out, {"command": "delegate", "seed": seed,
                                "qubits": circuit.num_qubits,
                                "gates": len(circuit.gates),
-                               "t_gates": t_count, "fidelity": fid,
+                               "t_gates": circuit.t_count, "fidelity": fid,
                                "transcript": result.transcript})
     return 0 if fid >= 1 - 1e-6 else 1
 
@@ -241,11 +253,12 @@ def cmd_commit(args):
 def cmd_cvqc(args):
     rounds = args.trials
     if args.ham:
-        with open(args.ham, "r", encoding="utf-8") as fh:
+        with _reading("--ham"), open(args.ham, encoding="utf-8") as fh:
             ham = cvqc.parse_hamiltonian(fh.read())
     else:
         ham = cvqc.parse_hamiltonian(_BENCH_HAM)
-    params = cvqc.GameParams(args.kappa, args.alpha, args.beta)
+    with _reading():
+        params = cvqc.GameParams(args.kappa, args.alpha, args.beta)
     seed = _seed_of(args)
     rng = harness.derive_rng(seed, "cvqc", "delegated" if args.delegated
                              else "direct")
@@ -264,6 +277,8 @@ def cmd_cvqc(args):
 
 
 def cmd_osp_trace(args):
+    with _reading("--delta"):
+        delta = Fraction(args.delta)
     seed = _seed_of(args)
     rng = harness.derive_rng(seed, "osp-trace", args.path)
     b = args.b
@@ -280,8 +295,7 @@ def cmd_osp_trace(args):
         out = osp.osp_from_csg(source, b, rng)
     else:
         n = args.n if args.n is not None else 2
-        out = osp.amplified_two_round_osp(b, args.lam, rng, n, 1,
-                                          Fraction(args.delta))
+        out = osp.amplified_two_round_osp(b, args.lam, rng, n, 1, delta)
     for msg in out.transcript:
         print("%-8s %-16s %s" % (msg["role"], msg["kind"],
                                  json.dumps(msg["payload"], sort_keys=True,
@@ -383,8 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        parser.exit(2, "ospsim %s: error: %s\n" % (args.command, exc))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ import numpy as np
 from . import delegation, gf2, qsim
 
 REJECTION_LIMIT = 10 ** 4
-HONEST_CHSH = math.cos(math.pi / 8) ** 2
 _SQRT2 = math.sqrt(2.0)
 
 _AXES = ("X", "Z")
@@ -68,10 +67,6 @@ class Hamiltonian:
     @property
     def x_weight(self) -> float:
         return sum(t[3] for t in self.x_terms)
-
-    @property
-    def z_weight(self) -> float:
-        return sum(t[3] for t in self.z_terms)
 
 
 def parse_hamiltonian(text: str) -> Hamiltonian:
@@ -256,22 +251,6 @@ def prepared_state(ham: Hamiltonian, prepare=None) -> qsim.DenseState:
     return epr.tensor(qsim.DenseState(vec))
 
 
-def _measure_observable(state, mat, wires, rng):
-    """Two-outcome measurement of an involution; bit 0 means outcome +1."""
-    n = state.num_qubits
-    k = len(wires)
-    arr = np.moveaxis(state.amplitudes.reshape((2,) * n), wires, range(k))
-    block = arr.reshape(1 << k, -1)
-    plus = 0.5 * (block + mat @ block)
-    p_plus = float(np.vdot(plus, plus).real)
-    bit = 0 if rng.random() < p_plus else 1
-    chosen = plus if bit == 0 else block - plus
-    chosen = chosen / np.linalg.norm(chosen)
-    out = np.moveaxis(chosen.reshape((2,) * k + (2,) * (n - k)),
-                      range(k), wires)
-    return bit, qsim.DenseState(out.reshape(-1))
-
-
 def _direct_answers(ham, question, state, rng):
     lam = ham.num_qubits
     alice = list(range(lam, 2 * lam))
@@ -279,12 +258,12 @@ def _direct_answers(ham, question, state, rng):
         sign = -1.0 if question.x else 1.0
         mat = (pauli_string("Z", question.a)
                + sign * pauli_string("X", question.b)) / _SQRT2
-        bit, state = _measure_observable(state, mat, alice, rng)
+        bit, state = qsim.measure_observable(state, mat, alice, rng)
         s_a = (bit,)
     elif question.kind == "commutation":
-        za, state = _measure_observable(
+        za, state = qsim.measure_observable(
             state, pauli_string("Z", question.a), alice, rng)
-        xb, state = _measure_observable(
+        xb, state = qsim.measure_observable(
             state, pauli_string("X", question.b), alice, rng)
         s_a = (za, xb)
     else:
@@ -453,7 +432,7 @@ def physical_rate(params: GameParams) -> float:
     at teleport_rate(alpha).
     """
     kappa = params.kappa
-    return (0.5 * (1.0 - kappa) * (1.0 + HONEST_CHSH)
+    return (0.5 * (1.0 - kappa) * (1.0 + qsim.COS2_PI_8)
             + kappa * teleport_rate(params.alpha))
 
 

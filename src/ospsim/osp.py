@@ -427,7 +427,7 @@ def combine_angles(first: qsim.TwoBranchState, second: qsim.TwoBranchState, rng)
         phase = first.phase * second.phase
     else:
         phase = first.phase * second.phase.conjugate()
-    return success, qsim.plane_descriptor(qsim.snap_phase(phase))
+    return success, qsim.plane_descriptor(phase)
 
 
 def epsilon_source_from_standard(standard_source, epsilon):
@@ -449,7 +449,7 @@ def epsilon_source_from_standard(standard_source, epsilon):
         s, descr = standard_source(b, rng)
         if b == 0:
             return s, qsim.apply_1q(descr, "H")
-        return s, qsim.plane_descriptor(qsim.snap_phase(descr.phase * twist))
+        return s, qsim.plane_descriptor(descr.phase * twist)
     return source
 
 

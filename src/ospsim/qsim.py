@@ -12,7 +12,10 @@ Conventions
 * Qubit 0 is the leftmost ket symbol; bit strings read MSB first, so the
   amplitude index of |b_0 b_1 ... b_{n-1}> is int(bits, 2).
 * States are value objects.  Operations return new states.
-* Dense states refuse to exceed 20 qubits.
+* Dense states refuse to exceed 20 qubits.  Only _block and _unblock know
+  how amplitudes are laid out by wire; gates, measurements and dropped
+  wires all go through them, and _block rejects negative, out-of-range and
+  repeated wires.
 * Structured phases live on the 8th roots of unity.  Anything richer must be
   densified first.
 """
@@ -63,6 +66,13 @@ PHASE_GRID = (
     -1j,
     complex(_HALF_ROOT, -_HALF_ROOT),
 )
+_PHASE_NAMES = ("1", "e^{ipi/4}", "i", "e^{i3pi/4}",
+                "-1", "e^{-i3pi/4}", "-i", "e^{-ipi/4}")
+
+
+# The chance that the X+Z (or X-Z) basis reads H^r|s> as s xor r*a: the
+# honest rate of the quantumness test and of a CHSH round.
+COS2_PI_8 = math.cos(math.pi / 8) ** 2
 
 
 class Basis(str, Enum):
@@ -105,11 +115,11 @@ def basis_vector(basis, outcome: int) -> np.ndarray:
     return rot.conj().T[:, outcome].copy()
 
 
-def snap_phase(value: complex) -> complex:
-    """Round a unit complex to the nearest 8th root of unity or raise."""
-    for p in PHASE_GRID:
+def phase_index(value: complex) -> int:
+    """Index on PHASE_GRID of the 8th root of unity within 1e-7, or raise."""
+    for k, p in enumerate(PHASE_GRID):
         if abs(value - p) <= 1e-7:
-            return p
+            return k
     raise ValueError("phase %r is not an 8th root of unity" % (value,))
 
 
@@ -164,9 +174,6 @@ class DenseState:
     def apply(self, gate, *qubits) -> "DenseState":
         return apply_gate(self, gate, qubits)
 
-    def measure(self, qubits, basis, rng):
-        return measure(self, qubits, basis, rng)
-
     def probability(self, bits) -> float:
         bits = _check_bits(bits, self.num_qubits)
         return float(abs(self.amplitudes[gf2.bits_to_int(bits)]) ** 2)
@@ -175,30 +182,55 @@ class DenseState:
         return "DenseState(%d qubits)" % self.num_qubits
 
 
+def _block(state: DenseState, wires):
+    """Check the wires and view the amplitudes as a (2^k, rest) block.
+
+    Row i holds the amplitudes whose listed wires read the bits of i, the
+    first listed wire as the most significant bit; the other wires keep
+    their order along each row.  Returns the checked wires and the block.
+    """
+    wires = tuple(int(q) for q in wires)
+    n = state.num_qubits
+    if len(set(wires)) != len(wires):
+        raise ValueError("duplicate wire in %r" % (wires,))
+    if any(not 0 <= q < n for q in wires):
+        raise ValueError("wire out of range for %d qubits in %r" % (n, wires))
+    arr = state.amplitudes.reshape((2,) * n)
+    arr = np.moveaxis(arr, wires, tuple(range(len(wires))))
+    return wires, arr.reshape(1 << len(wires), -1)
+
+
+def _unblock(block: np.ndarray, wires) -> DenseState:
+    """The state whose _block over the same wires is block."""
+    arr = block.reshape((2,) * (block.size.bit_length() - 1))
+    arr = np.moveaxis(arr, tuple(range(len(wires))), wires)
+    return DenseState(arr.reshape(-1))
+
+
+def _operator(mat, wires) -> np.ndarray:
+    """mat as a complex array, checked to act on exactly the listed wires."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.shape != (1 << len(wires),) * 2:
+        raise ValueError("operator shape %s does not fit %d wires"
+                         % (mat.shape, len(wires)))
+    return mat
+
+
 def apply_gate(state: DenseState, gate, qubits) -> DenseState:
     """Apply a named gate or explicit unitary to the listed qubits."""
-    if isinstance(gate, str):
-        mat = GATES.get(gate.upper())
-        if mat is None:
-            raise ValueError("unknown gate %r" % gate)
-    else:
-        mat = np.asarray(gate, dtype=complex)
-    qubits = tuple(int(q) for q in qubits)
-    k = len(qubits)
-    if mat.shape != (1 << k, 1 << k):
-        raise ValueError("gate shape %s does not fit %d qubits" % (mat.shape, k))
-    if len(set(qubits)) != k:
-        raise ValueError("duplicate target qubit")
-    n = state.num_qubits
-    if any(q < 0 or q >= n for q in qubits):
-        raise ValueError("qubit index out of range")
-    arr = state.amplitudes.reshape((2,) * n)
-    arr = np.moveaxis(arr, qubits, range(k))
-    shaped = arr.reshape(1 << k, -1)
-    shaped = mat @ shaped
-    arr = shaped.reshape((2,) * n)
-    arr = np.moveaxis(arr, range(k), qubits)
-    return DenseState(arr.reshape(-1))
+    mat = GATES.get(gate.upper()) if isinstance(gate, str) else gate
+    if mat is None:
+        raise ValueError("unknown gate %r" % gate)
+    wires, block = _block(state, qubits)
+    return _unblock(_operator(mat, wires) @ block, wires)
+
+
+def _rotate_rows(block: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """Apply the one-qubit rot to each wire that indexes the block rows."""
+    rows = block.shape[0]
+    for j in range(rows.bit_length() - 1):
+        block = (rot @ block.reshape(1 << j, 2, -1)).reshape(rows, -1)
+    return block
 
 
 def measure(state: DenseState, qubits, basis, rng):
@@ -207,33 +239,31 @@ def measure(state: DenseState, qubits, basis, rng):
     Returns (outcome bits, post-measurement DenseState).  The collapsed
     qubits are left in the corresponding basis eigenvector.
     """
-    qubits = tuple(int(q) for q in qubits)
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("duplicate measurement qubit")
-    basis = Basis(basis)
+    wires, block = _block(state, qubits)
     rot = _basis_rotation(basis)
-    work = state
     if basis != Basis.Z:
-        for q in qubits:
-            work = apply_gate(work, rot, (q,))
-    n = work.num_qubits
-    k = len(qubits)
-    arr = work.amplitudes.reshape((2,) * n)
-    arr = np.moveaxis(arr, qubits, range(k))
-    block = arr.reshape(1 << k, -1)
+        block = _rotate_rows(block, rot)
     probs = np.sum(np.abs(block) ** 2, axis=1)
     probs = probs / probs.sum()
-    outcome = int(rng.choice(1 << k, p=probs))
+    outcome = int(rng.choice(len(probs), p=probs))
     post = np.zeros_like(block)
     post[outcome] = block[outcome] / math.sqrt(probs[outcome])
-    arr = post.reshape((2,) * n)
-    arr = np.moveaxis(arr, range(k), qubits)
-    result = DenseState(arr.reshape(-1))
     if basis != Basis.Z:
-        inv = rot.conj().T
-        for q in qubits:
-            result = apply_gate(result, inv, (q,))
-    return gf2.int_to_bits(outcome, k), result
+        post = _rotate_rows(post, rot.conj().T)
+    return gf2.int_to_bits(outcome, len(wires)), _unblock(post, wires)
+
+
+def measure_observable(state: DenseState, observable, wires, rng):
+    """Two-outcome measurement of an involution on the listed wires.
+
+    Returns (bit, post-measurement DenseState); bit 0 means outcome +1.
+    """
+    wires, block = _block(state, wires)
+    plus = 0.5 * (block + _operator(observable, wires) @ block)
+    p_plus = float(np.vdot(plus, plus).real)
+    bit = 0 if rng.random() < p_plus else 1
+    chosen = plus if bit == 0 else block - plus
+    return bit, _unblock(chosen / np.linalg.norm(chosen), wires)
 
 
 @dataclass(frozen=True)
@@ -251,7 +281,7 @@ class TwoBranchState:
         if self.u == self.v:
             object.__setattr__(self, "phase", 1.0 + 0j)
         else:
-            object.__setattr__(self, "phase", snap_phase(complex(self.phase)))
+            object.__setattr__(self, "phase", PHASE_GRID[phase_index(complex(self.phase))])
 
     @property
     def is_basis(self) -> bool:
@@ -271,18 +301,9 @@ class TwoBranchState:
             return "TwoBranchState(|%s>)" % "".join(map(str, self.u))
         return "TwoBranchState((|%s> + (%s)|%s>)/sqrt2)" % (
             "".join(map(str, self.u)),
-            _phase_label(self.phase),
+            _PHASE_NAMES[phase_index(self.phase)],
             "".join(map(str, self.v)),
         )
-
-
-def _phase_label(p: complex) -> str:
-    names = {0: "1", 1: "e^{ipi/4}", 2: "i", 3: "e^{i3pi/4}",
-             4: "-1", 5: "e^{-i3pi/4}", 6: "-i", 7: "e^{-ipi/4}"}
-    for k, root in enumerate(PHASE_GRID):
-        if abs(p - root) <= 1e-9:
-            return names[k]
-    return repr(p)
 
 
 def basis_descriptor(bits) -> TwoBranchState:
@@ -509,14 +530,8 @@ def apply_bit_function(state: DenseState, input_qubits, fn, out_width: int):
 
 def drop_qubits(state: DenseState, qubits, expected_bits) -> DenseState:
     """Remove qubits known to sit in a basis state (e.g. after measurement)."""
-    qubits = tuple(int(q) for q in qubits)
-    expected_bits = tuple(int(b) for b in expected_bits)
-    n = state.num_qubits
-    arr = state.amplitudes.reshape((2,) * n)
-    index = [slice(None)] * n
-    for q, b in zip(qubits, expected_bits):
-        index[q] = b
-    sub = np.asarray(arr[tuple(index)]).reshape(-1)
+    wires, block = _block(state, qubits)
+    sub = block[gf2.bits_to_int(_check_bits(expected_bits, len(wires)))]
     norm = np.linalg.norm(sub)
     if abs(norm - 1.0) > 1e-6:
         raise ValueError("dropped qubits were not classical (mass %g)" % norm**2)
@@ -534,12 +549,11 @@ def dense_to_two_branch(state: DenseState) -> TwoBranchState:
         amp_a, amp_b = vec[a], vec[b]
         if abs(abs(amp_a) - _SQ2) > 1e-7 or abs(abs(amp_b) - _SQ2) > 1e-7:
             raise ValueError("branch weights are not 1/2")
-        phase = snap_phase(amp_b / amp_a)
         return TwoBranchState(
             state.num_qubits,
             gf2.int_to_bits(a, state.num_qubits),
             gf2.int_to_bits(b, state.num_qubits),
-            phase,
+            amp_b / amp_a,
         )
     raise ValueError("state has %d-point support, not a branch pair" % hot.size)
 

@@ -276,6 +276,84 @@ def test_ot_rejects_bad_arguments():
         apps.OtReceiverParty(2, 4, "search", rng_for(58))
 
 
+def _ot_to_openings(lam, cheat=None, seed=70):
+    """Run an OT session up to the receiver's openings message."""
+    receiver = apps.OtReceiverParty(None if cheat else 1, lam, "search",
+                                    rng_for(seed), cheat)
+    sender = apps.OtSenderParty(lam, "search", rng_for(seed + 1))
+    (obligations,) = receiver.on_message(None)
+    (check_set,) = sender.on_message(obligations)
+    return receiver, sender, check_set
+
+
+@pytest.mark.parametrize("check", [
+    [-1], [0, 1, 2, -1], [0, 1, 2, 8], [0, 0, 1, 2], [0, 1, 2],
+    [0, 1, 2, 3, 4],
+], ids=["minus-one", "negative", "past-end", "duplicate", "short", "long"])
+def test_ot_receiver_rejects_a_malformed_check_set(check):
+    # With T = [-1] the receiver used to open instance 7 and also reveal its
+    # b_7, so the sender could read b = b_7 ^ x0 ^ x1.
+    receiver, _, message = _ot_to_openings(4)
+    message["payload"]["T"] = check
+    with pytest.raises(ValueError, match="check set must be 4 distinct"):
+        receiver.on_message(message)
+
+
+def _drop_checked(payload):
+    payload["checked"] = []
+
+
+def _drop_last_checked(payload):
+    payload["checked"].pop()
+
+
+def _repeat_checked(payload):
+    payload["checked"][1] = payload["checked"][0]
+
+
+def _drop_last_unchecked(payload):
+    payload["unchecked"].pop()
+
+
+def _repeat_unchecked(payload):
+    payload["unchecked"].append(payload["unchecked"][0])
+
+
+def _move_checked_to_unchecked(payload):
+    entry = payload["checked"].pop()
+    payload["unchecked"].append({"i": entry["i"], "b": 0})
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_checked, _drop_last_checked, _repeat_checked, _drop_last_unchecked,
+    _repeat_unchecked, _move_checked_to_unchecked,
+])
+def test_ot_sender_catches_openings_off_its_check_set(edit):
+    receiver, sender, check_set = _ot_to_openings(4)
+    (openings,) = receiver.on_message(check_set)
+    edit(openings["payload"])
+    sender.on_message(openings)
+    assert sender.result["caught"]
+    assert len(sender.result["r0"]) == len(sender.result["r1"]) == 4
+
+
+def test_ot_sender_catches_zero_states_that_open_nothing():
+    for seed in range(80, 90):
+        receiver, sender, check_set = _ot_to_openings(4, "zero-states", seed)
+        (openings,) = receiver.on_message(check_set)
+        openings["payload"]["checked"] = []
+        sender.on_message(openings)
+        assert sender.result["caught"]
+
+
+def test_ot_sender_accepts_well_formed_honest_openings():
+    receiver, sender, check_set = _ot_to_openings(4)
+    sender.on_message(receiver.on_message(check_set)[0])
+    assert not sender.result["caught"]
+    assert [e["i"] for e in sender.per_index] == [
+        i for i in range(8) if i not in check_set["payload"]["T"]]
+
+
 # ------------------------------------------------------------ test parties
 
 

@@ -93,8 +93,39 @@ def test_cvqc_command(capsys):
     assert code == 0
     assert "value=" in out and out.count("physical=") == 1
     assert "benchmark=" not in out
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["cvqc", "--kappa", "1", "--alpha", "5", "--beta", "6"])
+    assert exc.value.code == 2
+    assert "alpha must lie in [-1, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cvqc", "--alpha", "5", "--beta", "6"],
+     "ospsim cvqc: error: alpha must lie in [-1, 1]"),
+    (["osp-trace", "--path", "amplified", "--delta", "abc"],
+     "ospsim osp-trace: error: --delta: Invalid literal for Fraction: 'abc'"),
+    (["osp-trace", "--path", "amplified", "--delta", "1/0"],
+     "ospsim osp-trace: error: --delta: "),
+    (["delegate", "--circuit", "/nonexistent.qc", "--input", "1"],
+     "ospsim delegate: error: --circuit: [Errno 2] No such file"),
+    (["cvqc", "--ham", "{bad_ham}"],
+     "ospsim cvqc: error: --ham: axis must be X or Z, got 'Y'"),
+    (["delegate", "--circuit", "{bad_circuit}", "--input", "1"],
+     "ospsim delegate: error: input has 1 bits but the circuit has 2"),
+], ids=["alpha", "delta-text", "delta-zero", "missing-circuit", "bad-ham",
+        "input-width"])
+def test_bad_option_values_are_usage_errors(argv, message, tmp_path, capsys):
+    ham = tmp_path / "bad.ham"
+    ham.write_text("QUBITS 2\nY 0 1 1.0\n")
+    circuit = tmp_path / "c.qc"
+    circuit.write_text("QUBITS 2\nH 0\n")
+    argv = [a.format(bad_ham=ham, bad_circuit=circuit) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -422,7 +422,7 @@ def test_chsh_rate_matches_cosine():
             wins += int(ok)
             trials += 1
     assert trials > 1000
-    assert abs(wins / trials - cvqc.HONEST_CHSH) < 0.035
+    assert abs(wins / trials - qsim.COS2_PI_8) < 0.035
 
 
 def test_estimate_value_tracks_physical_rate():
@@ -538,7 +538,7 @@ def test_delegated_correlation_rounds():
             chsh_wins += int(ok)
             chsh_trials += 1
     assert chsh_trials > 250
-    assert abs(chsh_wins / chsh_trials - cvqc.HONEST_CHSH) < 0.07
+    assert abs(chsh_wins / chsh_trials - qsim.COS2_PI_8) < 0.07
 
 
 def test_delegated_value_matches_direct():

@@ -384,7 +384,8 @@ def test_out_of_range_check_set_ends_the_receiver_session():
     th.join()
     listener.close()
     assert client.outcome["status"] == "error"
-    assert "IndexError" in client.outcome["detail"]
+    assert "ValueError: check set must be 4 distinct indices in [0, 8)" \
+        in client.outcome["detail"]
     assert [m.kind for m in client.messages] == ["obligations", "check-set"]
 
 

@@ -408,6 +408,155 @@ def test_drop_qubits():
         qsim.drop_qubits(DenseState.uniform(2), (0,), (0,))
 
 
+# ------------------------------------------- dense kernels vs kron projectors
+
+_C8, _S8 = math.cos(math.pi / 8), math.sin(math.pi / 8)
+# Eigenvector of each outcome bit, written out from the basis definitions.
+_EIGEN = {
+    Basis.Z: ([1, 0], [0, 1]),
+    Basis.X: ([RS, RS], [RS, -RS]),
+    Basis.Y: ([RS, 1j * RS], [RS, -1j * RS]),
+    Basis.XPLUSZ: ([_C8, _S8], [-_S8, _C8]),
+    Basis.XMINUSZ: ([_C8, -_S8], [_S8, _C8]),
+}
+_PAULI = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+          "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+_WIRE_LISTS = [(2,), (0,), (3, 1), (0, 2), (1, 3, 0), (2, 0, 3)]
+
+
+def _random_state(seed, n=4):
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return DenseState(vec / np.linalg.norm(vec))
+
+
+def _embed(ops, n=4):
+    """kron over all n wires of ops[wire], the identity elsewhere."""
+    out = np.eye(1)
+    for q in range(n):
+        out = np.kron(out, ops.get(q, np.eye(2)))
+    return out
+
+
+class _Pick:
+    """Stand-in generator: records the law handed to choice, returns pick."""
+
+    def __init__(self, pick):
+        self.pick = pick
+        self.law = None
+
+    def choice(self, size, p):
+        self.law = np.asarray(p)
+        return self.pick
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+@pytest.mark.parametrize("wires", _WIRE_LISTS)
+def test_measure_matches_kron_projectors(basis, wires):
+    state = _random_state(len(wires) * 10 + list(Basis).index(basis))
+    k = len(wires)
+    for outcome in range(1 << k):
+        bits = gf2.int_to_bits(outcome, k)
+        proj = _embed({q: np.outer(_EIGEN[basis][b], np.conj(_EIGEN[basis][b]))
+                       for q, b in zip(wires, bits)})
+        hit = proj @ state.amplitudes
+        prob = float(np.vdot(hit, hit).real)
+        rng = _Pick(outcome)
+        got, post = measure(state, wires, basis, rng)
+        assert got == bits
+        assert len(rng.law) == 1 << k
+        assert abs(rng.law[outcome] - prob) < 1e-12
+        assert np.allclose(post.amplitudes, hit / math.sqrt(prob), atol=1e-12)
+
+
+class _Coin:
+    """Stand-in generator whose random() always returns value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+@pytest.mark.parametrize("wires,strings", [
+    ((1,), [(1.0, "Z")]),
+    ((3,), [(RS, "Z"), (RS, "X")]),
+    ((2, 0), [(1.0, "XY")]),
+    ((0, 3), [(RS, "ZI"), (-RS, "XX")]),
+    ((3, 1, 2), [(RS, "ZZI"), (RS, "XIX")]),
+])
+def test_measure_observable_matches_kron_projectors(wires, strings):
+    """Observables are sums of anticommuting Pauli strings, so involutions."""
+    state = _random_state(sum(wires) + len(strings))
+    local = sum(c * _embed({j: _PAULI[p] for j, p in enumerate(word)},
+                           len(word)) for c, word in strings)
+    full = sum(c * _embed({q: _PAULI[p] for q, p in zip(wires, word)})
+               for c, word in strings)
+    assert np.allclose(full @ full, np.eye(16))
+    plus = 0.5 * (state.amplitudes + full @ state.amplitudes)
+    p_plus = float(np.vdot(plus, plus).real)
+    assert 1e-3 < p_plus < 1 - 1e-3
+    for bit, coin, hit in ((0, 0.0, plus), (1, 1.0, state.amplitudes - plus)):
+        got, post = qsim.measure_observable(state, local, wires, _Coin(coin))
+        assert got == bit
+        assert np.allclose(post.amplitudes, hit / np.linalg.norm(hit),
+                           atol=1e-12)
+
+
+@pytest.mark.parametrize("wires,bits", [
+    ((0,), (1,)), ((3,), (0,)), ((2, 0), (0, 1)), ((1, 3, 2), (1, 1, 0)),
+])
+def test_drop_qubits_matches_kron_projectors(wires, bits):
+    rest = _random_state(7, 4 - len(wires))
+    # Put the kept state on the other wires and the given bits on wires.
+    others = [q for q in range(4) if q not in wires]
+    full = np.zeros(16, dtype=complex)
+    for index in range(16):
+        word = gf2.int_to_bits(index, 4)
+        if all(word[q] == b for q, b in zip(wires, bits)):
+            full[index] = rest.amplitudes[
+                gf2.bits_to_int([word[q] for q in others])]
+    proj = _embed({q: np.diag([1 - b, b]) for q, b in zip(wires, bits)})
+    assert np.allclose(proj @ full, full)
+    out = qsim.drop_qubits(DenseState(full), wires, bits)
+    assert out.num_qubits == len(others)
+    assert np.allclose(out.amplitudes, rest.amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize("wires", [(-1,), (4,), (0, 4), (1, 1), (2, 0, 2)],
+                         ids=["negative", "past-end", "one-past-end",
+                              "duplicate", "duplicate-of-three"])
+def test_every_dense_entry_point_checks_its_wires(wires):
+    state = _random_state(3)
+    k = len(wires)
+    eye = np.eye(1 << k)
+    with pytest.raises(ValueError):
+        qsim.apply_gate(state, eye, wires)
+    for basis in (Basis.Z, Basis.X):
+        with pytest.raises(ValueError):
+            measure(state, wires, basis, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        qsim.measure_observable(state, eye, wires, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        qsim.drop_qubits(DenseState.from_bits((0,) * 4), wires, (0,) * k)
+
+
+def test_bit_and_operator_sizes_must_fit_the_wires():
+    basis_state = DenseState.from_bits((0, 1, 0))
+    with pytest.raises(ValueError):
+        qsim.drop_qubits(basis_state, [0], (0, 1))
+    with pytest.raises(ValueError):
+        qsim.drop_qubits(basis_state, [0, 1], (0,))
+    with pytest.raises(ValueError):
+        qsim.drop_qubits(basis_state, [0], (2,))
+    with pytest.raises(ValueError):
+        qsim.apply_gate(basis_state, "CNOT", [0])
+    with pytest.raises(ValueError):
+        qsim.measure_observable(basis_state, qsim.GATES["Z"], [0, 1],
+                                np.random.default_rng(0))
+
+
 def test_dense_to_two_branch_roundtrip():
     tb = TwoBranchState(3, (0, 0, 1), (1, 1, 0), 1j)
     back = qsim.dense_to_two_branch(tb.densify())
