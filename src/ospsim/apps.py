@@ -805,14 +805,6 @@ class PoqProverParty:
         raise ValueError("unexpected message kind %r" % msg["kind"])
 
 
-def poq_session(rounds: int, verifier_rng, prover_rng, n: int = 3):
-    """In-process multi-round run through the party objects."""
-    verifier = PoqVerifierParty(rounds, verifier_rng, n)
-    prover = PoqProverParty(prover_rng)
-    transcript = _drive(verifier, prover)
-    return verifier.result, transcript
-
-
 # ---------------------------------------------------- public-key encryption
 
 

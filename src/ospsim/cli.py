@@ -30,12 +30,19 @@ def _default_seed() -> int:
         return 0
 
 
+def _positive_int(text) -> int:
+    """The type of each count option: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("%r is not a positive integer" % text)
+    return int(text)
+
+
 _OPTIONS = {
-    "trials": ("--trials", dict(type=int,
+    "trials": ("--trials", dict(type=_positive_int,
                                 help="number of rounds or repetitions")),
-    "lam": ("--lambda", dict(dest="lam", type=int,
+    "lam": ("--lambda", dict(dest="lam", type=_positive_int,
                              help="instance count / security parameter")),
-    "n": ("--n", dict(type=int, help="claw-function input width")),
+    "n": ("--n", dict(type=_positive_int, help="claw-function input width")),
     "delta": ("--delta", dict(type=str,
                               help="claw density as a fraction, e.g. 1/2")),
 }
@@ -227,6 +234,8 @@ def cmd_pke(args):
 
 def cmd_commit(args):
     lam = args.lam
+    if lam > 16:  # apps.binding_probe's limit, before 2^lam amplitudes exist
+        raise _UsageError("--lambda: binding probe limited to 16 qubits")
     seed = _seed_of(args)
     rng = harness.derive_rng(seed, "commit")
     code = 0

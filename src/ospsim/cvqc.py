@@ -80,13 +80,6 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
     return Hamiltonian(num_qubits, tuple(terms))
 
 
-def format_hamiltonian(ham: Hamiltonian) -> str:
-    lines = ["QUBITS %d" % ham.num_qubits]
-    for axis, i, j, weight in ham.terms:
-        lines.append("%s %d %d %r" % (axis, i, j, weight))
-    return "\n".join(lines) + "\n"
-
-
 @lru_cache(maxsize=4096)
 def _pauli_string_cached(axis: str, support: tuple) -> np.ndarray:
     out = np.array([[1.0]], dtype=complex)

@@ -92,13 +92,6 @@ def parse_circuit(text: str) -> Circuit:
     return Circuit(num_qubits, tuple(gates))
 
 
-def format_circuit(circuit: Circuit) -> str:
-    lines = ["QUBITS %d" % circuit.num_qubits]
-    for name, qubits in circuit.gates:
-        lines.append(" ".join([name] + [str(q) for q in qubits]))
-    return "\n".join(lines) + "\n"
-
-
 def apply_circuit(state: qsim.DenseState, circuit: Circuit) -> qsim.DenseState:
     """Reference execution: apply every gate directly."""
     for name, qubits in circuit.gates:

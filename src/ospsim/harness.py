@@ -4,21 +4,26 @@ A protocol run is a sequence of messages between a client and a server
 party object (the same objects apps.py drives in process).  The harness
 pins down everything needed to make two runs comparable byte for byte:
 
-* every message is serialized as canonical JSON (sorted keys, no
-  insignificant whitespace) behind a 4-byte big-endian length prefix;
+* every frame, the opening hello and each message alike, is canonical
+  JSON (sorted keys, no insignificant whitespace) behind a 4-byte
+  big-endian length prefix;
 * party randomness comes from a labelled split of one session seed, so
   the in-process driver and the socket driver draw identical streams;
 * the transcript records messages in delivery order, which both drivers
   reproduce exactly.
 
-Sessions over a socket alternate turns.  A turn is zero or more frames
-closed by a turn marker; the session ends when both sides send an empty
-turn back to back.  One connection carries one session.
+Sessions over a socket open with one hello frame from each side, then
+alternate turns.  A turn is zero or more frames closed by a turn marker;
+the session ends when both sides send an empty turn back to back.  One
+connection carries one session.  Whatever bytes a peer sends, a session
+ends with a transcript of status complete, error, timeout or
+disconnected; a malformed frame ends it with error.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import socket
 import struct
@@ -100,34 +105,64 @@ class Message:
         return cls(session, seq, role, kind, obj["payload"])
 
 
-def frame_encode(message: Message) -> bytes:
-    """Length-prefixed canonical encoding of one message."""
-    body = canonical_json(message.to_dict())
+# --------------------------------------------------------------- frame codec
+
+
+def _encode_frame(obj) -> bytes:
+    """The one frame writer: canonical JSON behind its length prefix."""
+    body = canonical_json(obj)
     if len(body) > MAX_FRAME_BYTES:
         raise FrameError("frame body of %d bytes exceeds the %d byte cap"
                          % (len(body), MAX_FRAME_BYTES))
     return _LENGTH.pack(len(body)) + body
 
 
-def frame_decode(data: bytes) -> Message:
-    """Inverse of frame_encode; rejects anything but one exact frame."""
-    if len(data) < _LENGTH.size:
-        raise FrameError("frame shorter than its length prefix")
-    (length,) = _LENGTH.unpack_from(data)
+def _read_exact(fh, count: int) -> bytes:
+    data = fh.read(count)  # a buffered read comes back short only at EOF
+    if len(data) < count:
+        raise ConnectionError("peer closed the connection mid-frame")
+    return data
+
+
+def _read_frame(fh):
+    """The one frame reader: the next frame's body, or None at a turn marker."""
+    header = _read_exact(fh, _LENGTH.size)
+    if header == _TURN_END:
+        return None
+    (length,) = _LENGTH.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise FrameError("declared frame length %d exceeds the cap" % length)
-    body = data[_LENGTH.size:]
-    if len(body) < length:
-        raise FrameError("frame truncated: %d of %d body bytes"
-                         % (len(body), length))
-    if len(body) > length:
-        raise FrameError("%d trailing bytes after the frame"
-                         % (len(body) - length))
+    return _read_exact(fh, length)
+
+
+def _decode_body(body: bytes):
+    """The one decoder of peer bytes.  Every failure becomes a FrameError,
+    including the ValueError of an over-long integer and the RecursionError
+    of deep nesting."""
     try:
-        obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise FrameError("frame body is not valid JSON: %s" % exc) from None
-    return Message.from_dict(obj)
+
+
+def frame_encode(message: Message) -> bytes:
+    """Length-prefixed canonical encoding of one message."""
+    return _encode_frame(message.to_dict())
+
+
+def frame_decode(data: bytes) -> Message:
+    """Inverse of frame_encode; rejects anything but one exact frame."""
+    buf = io.BytesIO(data)
+    try:
+        body = _read_frame(buf)
+    except ConnectionError:
+        raise FrameError("frame truncated after %d bytes" % len(data)) from None
+    if body is None:
+        raise FrameError("a turn marker is not a frame")
+    if buf.tell() < len(data):
+        raise FrameError("%d trailing bytes after the frame"
+                         % (len(data) - buf.tell()))
+    return Message.from_dict(_decode_body(body))
 
 
 # --------------------------------------------------------------- transcripts
@@ -287,18 +322,6 @@ def run_local(protocol: str, seed: int, config=None) -> dict:
 # -------------------------------------------------------------- socket runs
 
 
-def _read_exact(fh, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        piece = fh.read(remaining)
-        if not piece:
-            raise ConnectionError("peer closed the connection mid-frame")
-        chunks.append(piece)
-        remaining -= len(piece)
-    return b"".join(chunks)
-
-
 def _send_turn(fh, batch):
     for msg in batch:
         fh.write(frame_encode(msg))
@@ -308,17 +331,8 @@ def _send_turn(fh, batch):
 
 def _recv_turn(fh):
     """Read frames up to the turn marker; returns decoded Messages."""
-    received = []
-    while True:
-        header = _read_exact(fh, _LENGTH.size)
-        if header == _TURN_END:
-            return received
-        (length,) = _LENGTH.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise FrameError("declared frame length %d exceeds the cap"
-                             % length)
-        body = _read_exact(fh, length)
-        received.append(frame_decode(header + body))
+    return [Message.from_dict(_decode_body(body))
+            for body in iter(lambda: _read_frame(fh), None)]
 
 
 def _hello(protocol, session, seed) -> dict:
@@ -326,7 +340,12 @@ def _hello(protocol, session, seed) -> dict:
             "session": session, "seed": int(seed)}
 
 
-def _check_hello(obj, protocol, session, seed):
+def _recv_hello(fh, protocol, session, seed):
+    """Read the peer's hello frame and check that it opens this session."""
+    body = _read_frame(fh)
+    if body is None:
+        raise FrameError("peer sent a turn marker in place of its hello")
+    obj = _decode_body(body)
     if not isinstance(obj, dict) or obj.get("harness") != HARNESS_VERSION:
         raise FrameError("harness version mismatch: peer sent %r"
                          % (obj.get("harness") if isinstance(obj, dict)
@@ -336,24 +355,6 @@ def _check_hello(obj, protocol, session, seed):
                          % (obj.get("protocol"), protocol))
     if obj.get("session") != session or obj.get("seed") != int(seed):
         raise FrameError("peer session or seed does not match")
-
-
-def _send_control(fh, obj):
-    body = canonical_json(obj)
-    fh.write(_LENGTH.pack(len(body)) + body)
-    fh.flush()
-
-
-def _recv_control(fh):
-    header = _read_exact(fh, _LENGTH.size)
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError("control frame length %d exceeds the cap" % length)
-    body = _read_exact(fh, length)
-    try:
-        return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameError("control frame is not valid JSON: %s" % exc) from None
 
 
 def _socket_session(party, conn, protocol, seed, timeout):
@@ -371,8 +372,9 @@ def _socket_session(party, conn, protocol, seed, timeout):
     conn.settimeout(timeout)
     fh = conn.makefile("rwb")
     try:
-        _send_control(fh, _hello(protocol, session, seed))
-        _check_hello(_recv_control(fh), protocol, session, seed)
+        fh.write(_encode_frame(_hello(protocol, session, seed)))
+        fh.flush()
+        _recv_hello(fh, protocol, session, seed)
         pending = [None] if party.role == "client" else None
         sent_empty = received_empty = False
         while True:

@@ -1,12 +1,11 @@
 """Tests for the application-layer protocols."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from ospsim import apps, gadgets, gf2, osp, qsim, tcf
+from ospsim import apps, gadgets, harness, osp, qsim, tcf
 
 COS2 = (2.0 + math.sqrt(2.0)) / 4.0
 
@@ -358,21 +357,21 @@ def test_ot_sender_accepts_well_formed_honest_openings():
 
 
 def test_poq_session_through_parties():
-    result, transcript = apps.poq_session(30, rng_for(61), rng_for(62))
+    client = harness.run_local("poq", 61, {"rounds": 30})["client"]
+    result = client.outcome["result"]
     assert result["rounds"] == 30
     assert result["accepted"] == round(result["rate"] * 30)
-    kinds = [m["kind"] for m in transcript]
+    kinds = [m.kind for m in client.messages]
     assert kinds.count("round-params") == 30
     assert kinds.count("verdict") == 30
     assert len(kinds) == 150
 
 
 def test_poq_session_deterministic_replay():
-    first = apps.poq_session(10, rng_for(63), rng_for(64))
-    second = apps.poq_session(10, rng_for(63), rng_for(64))
-    assert json.dumps(first[1], sort_keys=True) == json.dumps(second[1],
-                                                             sort_keys=True)
-    assert first[0] == second[0]
+    first = harness.run_local("poq", 63, {"rounds": 10})["client"]
+    second = harness.run_local("poq", 63, {"rounds": 10})["client"]
+    assert first.to_bytes() == second.to_bytes()
+    assert first.outcome["result"] == second.outcome["result"]
 
 
 # -------------------------------------------------------------------- PKE

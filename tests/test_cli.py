@@ -128,6 +128,36 @@ def test_bad_option_values_are_usage_errors(argv, message, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["poq", "--trials", "0"],
+     "ospsim poq: error: argument --trials: '0' is not a positive integer"),
+    (["commit", "--lambda", "17"],
+     "ospsim commit: error: --lambda: binding probe limited to 16 qubits"),
+    (["commit", "--lambda", "-1"],
+     "ospsim commit: error: argument --lambda: '-1' is not a positive integer"),
+    (["puzzle", "--lambda", "0"],
+     "ospsim puzzle: error: argument --lambda: '0' is not a positive integer"),
+    (["ot", "--lambda", "0"],
+     "ospsim ot: error: argument --lambda: '0' is not a positive integer"),
+    (["osp-trace", "--n", "0"],
+     "ospsim osp-trace: error: argument --n: '0' is not a positive integer"),
+], ids=["poq-trials", "commit-lambda-17", "commit-lambda-negative",
+        "puzzle-lambda", "ot-lambda", "osp-trace-n"])
+def test_counts_are_checked_before_any_work(argv, message, monkeypatch,
+                                            capsys):
+    def no_work(*_labels):
+        raise AssertionError("the command started work")
+
+    monkeypatch.setattr(harness, "derive_rng", no_work)  # every run draws one
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines()
+            if line.startswith("ospsim ")] == [message]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["delegate", "--circuit", "c.qc", "--input", "1", "--trials", "5"],
     ["cvqc", "--lambda", "4"],

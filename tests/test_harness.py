@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import socket
 import struct
@@ -10,6 +12,14 @@ from ospsim import harness
 
 
 # ------------------------------------------------------------------ framing
+
+NESTED = b"[" * 200_000   # RecursionError inside json.loads
+DIGITS = b"9" * 5_000     # ValueError: past the integer digit limit
+
+
+def _prefixed(body):
+    return struct.pack(">I", len(body)) + body
+
 
 payloads = st.recursive(
     st.none() | st.booleans() | st.integers(-(2**40), 2**40)
@@ -30,7 +40,7 @@ messages = st.builds(
 
 
 @given(messages)
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 def test_frame_roundtrip(msg):
     again = harness.frame_decode(harness.frame_encode(msg))
     assert again == msg
@@ -58,6 +68,8 @@ def test_frame_decode_rejects_truncation():
         harness.frame_decode(encoded[:3])
     with pytest.raises(harness.FrameError):
         harness.frame_decode(b"")
+    with pytest.raises(harness.FrameError, match="turn marker"):
+        harness.frame_decode(harness._TURN_END)
 
 
 def test_frame_decode_rejects_trailing_bytes():
@@ -67,10 +79,9 @@ def test_frame_decode_rejects_trailing_bytes():
 
 
 def test_frame_decode_rejects_bad_json_and_fields():
-    body = b"{not json"
-    data = struct.pack(">I", len(body)) + body
-    with pytest.raises(harness.FrameError, match="JSON"):
-        harness.frame_decode(data)
+    for body in (b"{not json", b"\xff", NESTED, DIGITS):
+        with pytest.raises(harness.FrameError, match="JSON"):
+            harness.frame_decode(_prefixed(body))
     for obj in (
         [1, 2],
         {"session": "s", "seq": 0, "role": "client", "kind": "k"},
@@ -82,9 +93,8 @@ def test_frame_decode_rejects_bad_json_and_fields():
         {"session": "s", "seq": 0, "role": "client", "kind": "", "payload": 0},
         {"session": 7, "seq": 0, "role": "client", "kind": "k", "payload": 0},
     ):
-        body = harness.canonical_json(obj)
         with pytest.raises(harness.FrameError):
-            harness.frame_decode(struct.pack(">I", len(body)) + body)
+            harness.frame_decode(_prefixed(harness.canonical_json(obj)))
 
 
 def test_frame_length_cap():
@@ -143,11 +153,12 @@ def test_run_local_poq_outcomes_and_sequencing():
 
 
 def test_run_local_is_replayable():
-    first = harness.run_local("ot", 21, {"lam": 3})
-    second = harness.run_local("ot", 21, {"lam": 3})
-    assert first["client"].to_bytes() == second["client"].to_bytes()
-    third = harness.run_local("ot", 22, {"lam": 3})
-    assert first["client"].to_bytes() != third["client"].to_bytes()
+    for protocol, config in (("ot", {"lam": 3}), ("poq", {"rounds": 10})):
+        first = harness.run_local(protocol, 21, config)
+        second = harness.run_local(protocol, 21, config)
+        assert first["client"].to_bytes() == second["client"].to_bytes()
+        third = harness.run_local(protocol, 22, config)
+        assert first["client"].to_bytes() != third["client"].to_bytes()
 
 
 def test_run_local_rejects_unknowns():
@@ -167,6 +178,16 @@ def test_transcript_save_load_roundtrip(tmp_path):
 
 
 # ------------------------------------------------------------- socket runs
+
+
+def _peer_hello(protocol, seed=5):
+    sid = harness.session_id(protocol, seed)
+    return harness._encode_frame(harness._hello(protocol, sid, seed))
+
+
+def _send_hello(fh, protocol, seed):
+    fh.write(_peer_hello(protocol, seed))
+    fh.flush()
 
 
 def _loopback(protocol, seed, config):
@@ -215,10 +236,8 @@ def test_disconnect_preserves_partial_transcript():
     # speak a valid hello, read the server's, then hang up mid-session
     with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
         fh = conn.makefile("rwb")
-        harness._send_control(fh, harness._hello(
-            "poq", harness.session_id("poq", 5), 5))
-        fh.flush()
-        harness._recv_control(fh)
+        _send_hello(fh, "poq", 5)
+        harness._read_frame(fh)
         fh.close()  # drop the fd; vanish while the server awaits the turn
     th.join()
     listener.close()
@@ -241,8 +260,8 @@ def test_version_mismatch_reported():
     th.start()
     with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
         fh = conn.makefile("rwb")
-        harness._send_control(fh, {"harness": 99, "protocol": "poq",
-                                   "session": "x", "seed": 5})
+        fh.write(harness._encode_frame({"harness": 99, "protocol": "poq",
+                                        "session": "x", "seed": 5}))
         fh.flush()
     th.join()
     listener.close()
@@ -263,10 +282,8 @@ def test_timeout_aborts_cleanly():
     th.start()
     with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
         fh = conn.makefile("rwb")
-        harness._send_control(fh, harness._hello(
-            "poq", harness.session_id("poq", 5), 5))
-        fh.flush()
-        harness._recv_control(fh)
+        _send_hello(fh, "poq", 5)
+        harness._read_frame(fh)
         th.join()  # send nothing further; the server should give up
     listener.close()
     assert box["server"].outcome["status"] == "timeout"
@@ -286,9 +303,8 @@ def test_out_of_order_seq_is_an_error():
     th.start()
     with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
         fh = conn.makefile("rwb")
-        harness._send_control(fh, harness._hello("poq", sid, 5))
-        fh.flush()
-        harness._recv_control(fh)
+        _send_hello(fh, "poq", 5)
+        harness._read_frame(fh)
         bogus = harness.Message(sid, 7, "client", "round-params", {})
         harness._send_turn(fh, [bogus])
         th.join()
@@ -298,46 +314,68 @@ def test_out_of_order_seq_is_an_error():
 
 
 # ------------------------------------------------------------- peer faults
+#
+# A scripted peer writes a fixed byte string, half-closes its side and
+# reads until the local party hangs up, so every run ends on its own.
 
 STATUSES = ("complete", "error", "timeout", "disconnected")
+CONFIGS = {"poq": {"rounds": 2}, "ot": {"lam": 2, "b": 1}}
 
 
-def _serve_against(protocol, config, turn, seed=5):
-    """Serve one session to a scripted client that sends `turn` and then
-    an empty turn, and return the server transcript.
+def _feed(sock, data):
+    """Write data, half-close, then read until the other end hangs up."""
+    try:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        while sock.recv(65536):
+            pass
+    except OSError:
+        pass  # the local party may hang up before reading everything
 
-    serve_on must return, whatever the client sent; an exception it
-    raises fails the test.
-    """
+
+def _against_peer(protocol, role, data, config=None, seed=5):
+    """Play `role` through serve_on or connect_and_run over loopback TCP
+    against a peer that writes `data`; returns the local transcript.
+
+    The local side must return whatever the peer sent; an exception it
+    raises fails the test."""
+    config = CONFIGS[protocol] if config is None else config
     listener = harness.open_listener("127.0.0.1", 0)
     port = listener.getsockname()[1]
     box = {}
 
-    def serve():
-        box["server"] = harness.serve_on(listener, protocol, seed, config,
-                                         timeout=5.0)
+    def play():
+        try:
+            if role == "server":
+                box["t"] = harness.serve_on(listener, protocol, seed, config,
+                                            timeout=10.0)
+            else:
+                box["t"] = harness.connect_and_run(
+                    protocol, seed, "127.0.0.1", port, config, timeout=10.0)
+        except Exception as exc:  # reported below, in the test's thread
+            box["raised"] = exc
 
-    th = threading.Thread(target=serve)
+    th = threading.Thread(target=play)
     th.start()
-    try:
-        with socket.create_connection(("127.0.0.1", port),
-                                      timeout=10.0) as conn:
-            fh = conn.makefile("rwb")
-            harness._send_control(fh, harness._hello(
-                protocol, harness.session_id(protocol, seed), seed))
-            harness._recv_control(fh)
-            harness._send_turn(fh, turn)
-            harness._send_turn(fh, [])
-            try:
-                while conn.recv(4096):  # drain until the server hangs up
-                    pass
-            except OSError:
-                pass
-            fh.close()
-    finally:
-        th.join()
-        listener.close()
-    return box["server"]
+    if role == "server":
+        peer = socket.create_connection(("127.0.0.1", port), timeout=10.0)
+    else:
+        listener.settimeout(10.0)
+        peer, _ = listener.accept()
+    with peer:
+        _feed(peer, data)
+    th.join()
+    listener.close()
+    assert "raised" not in box, repr(box.get("raised"))
+    return box["t"]
+
+
+def _serve_against(protocol, config, turn, seed=5):
+    """The server transcript after a client sends `turn`, then an empty one."""
+    data = (_peer_hello(protocol, seed)
+            + b"".join(harness.frame_encode(m) for m in turn)
+            + harness._TURN_END * 2)
+    return _against_peer(protocol, "server", data, config, seed)
 
 
 @pytest.mark.parametrize("kind,payload,detail", [
@@ -366,8 +404,8 @@ def test_out_of_range_check_set_ends_the_receiver_session():
         conn, _ = listener.accept()
         with conn:
             fh = conn.makefile("rwb")
-            harness._recv_control(fh)
-            harness._send_control(fh, harness._hello("ot", sid, seed))
+            harness._read_frame(fh)
+            _send_hello(fh, "ot", seed)
             harness._recv_turn(fh)  # the obligations
             harness._send_turn(fh, [harness.Message(
                 sid, 0, "server", "check-set", {"T": [0, 8]})])
@@ -395,10 +433,140 @@ def test_out_of_range_check_set_ends_the_receiver_session():
                              "openings", "outcome"))
        | st.text(min_size=1, max_size=12),
        payload=payloads)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_any_peer_message_ends_in_a_status(protocol, kind, payload):
     sid = harness.session_id(protocol, 5)
     msg = harness.Message(sid, 0, "client", kind, payload)
     server = _serve_against(protocol, {"rounds": 1, "lam": 2}, [msg])
     assert server.outcome["status"] in STATUSES
     assert server.messages[:1] == [msg]
+
+
+@pytest.mark.parametrize("body", [NESTED, DIGITS], ids=["nested", "digits"])
+@pytest.mark.parametrize("where", ["hello", "turn"])
+@pytest.mark.parametrize("role", harness.ROLES)
+@pytest.mark.parametrize("protocol", ["poq", "ot"])
+def test_undecodable_body_ends_the_session_with_error(protocol, role, where,
+                                                      body):
+    data = (_peer_hello(protocol) if where == "turn" else b"") + _prefixed(body)
+    transcript = _against_peer(protocol, role, data)
+    assert transcript.outcome["status"] == "error"
+    assert "not valid JSON" in transcript.outcome["detail"]
+    assert transcript.outcome["result"] is None
+
+
+# -------------------------------------------------------------- byte fuzz
+
+
+@functools.lru_cache(maxsize=None)
+def _record(protocol, seed):
+    """The bytes each role writes in one honest session over socketpairs,
+    relayed through two pump threads that keep a copy."""
+    config = CONFIGS[protocol]
+    ends = dict(zip(harness.ROLES, (socket.socketpair(), socket.socketpair())))
+    written = {role: bytearray() for role in harness.ROLES}
+    status = {}
+
+    def pump(role, peer):
+        src, dst = ends[role][1], ends[peer][1]
+        while chunk := src.recv(65536):
+            written[role] += chunk
+            dst.sendall(chunk)
+        dst.shutdown(socket.SHUT_WR)
+
+    def play(role):
+        party = harness.make_party(protocol, role, seed, config)
+        conn = ends[role][0]
+        status[role] = harness._socket_session(party, conn, protocol, seed,
+                                               10.0)[0]
+        conn.shutdown(socket.SHUT_WR)
+
+    threads = [threading.Thread(target=pump, args=("client", "server")),
+               threading.Thread(target=pump, args=("server", "client")),
+               threading.Thread(target=play, args=("client",)),
+               threading.Thread(target=play, args=("server",))]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    for pair in ends.values():
+        for sock in pair:
+            sock.close()
+    assert status == {"client": "complete", "server": "complete"}
+    return {role: bytes(data) for role, data in written.items()}
+
+
+HONEST_WIRE = ("b52795654b161bfb6116dda6e816d9c2"
+               "9dbac046aa8b73f2012134f2fa514ef6")  # as the two-parser code wrote
+
+
+def test_honest_wire_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for protocol in ("poq", "ot"):
+        for seed in range(6):
+            written = _record(protocol, seed)
+            digest.update(written["client"] + b"|" + written["server"] + b"#")
+    assert digest.hexdigest() == HONEST_WIRE
+
+
+def _session_over_socketpair(protocol, role, data, seed=5):
+    """Play `role` over a socketpair against a peer that writes `data`."""
+    local, peer = socket.socketpair()
+    feeder = threading.Thread(target=_feed, args=(peer, data))
+    feeder.start()
+    party = harness.make_party(protocol, role, seed, CONFIGS[protocol])
+    try:
+        status, detail, messages = harness._socket_session(
+            party, local, protocol, seed, 5.0)
+    finally:
+        local.close()
+        feeder.join()
+        peer.close()
+    return harness._finish(party, protocol, seed, role, status, detail,
+                           messages)
+
+
+@st.composite
+def hostile_streams(draw):
+    """(protocol, role, bytes the peer writes): arbitrary bytes as the
+    hello or after an honest hello, or a flip, truncation, duplication or
+    splice of the honest peer's recorded bytes."""
+    protocol = draw(st.sampled_from(("poq", "ot")))
+    role = draw(st.sampled_from(harness.ROLES))
+    peer = "server" if role == "client" else "client"
+    honest = _record(protocol, 5)[peer]
+    hello = honest[:4 + struct.unpack(">I", honest[:4])[0]]
+    how = draw(st.sampled_from(("as-hello", "as-turn", "flip", "truncate",
+                                "duplicate", "splice")))
+    if how == "as-hello":
+        return protocol, role, draw(st.binary(max_size=512))
+    if how == "as-turn":
+        return protocol, role, hello + draw(st.binary(max_size=512))
+    i = draw(st.integers(0, len(honest) - 1))
+    j = draw(st.integers(i, len(honest)))
+    if how == "flip":
+        data = bytearray(honest)
+        data[i] ^= draw(st.integers(1, 255))
+    elif how == "truncate":
+        data = honest[:i]
+    elif how == "duplicate":
+        data = honest[:j] + honest[i:]
+    else:
+        data = honest[:i] + draw(st.binary(max_size=64)) + honest[j:]
+    return protocol, role, bytes(data)
+
+
+def test_honest_peer_bytes_replay_to_completion():
+    for protocol in ("poq", "ot"):
+        for role, peer in (("client", "server"), ("server", "client")):
+            transcript = _session_over_socketpair(protocol, role,
+                                                  _record(protocol, 5)[peer])
+            assert transcript.outcome["status"] == "complete"
+
+
+@given(hostile_streams())
+@settings(max_examples=1000)
+def test_any_peer_bytes_end_in_a_status(case):
+    protocol, role, data = case
+    transcript = _session_over_socketpair(protocol, role, data)
+    assert transcript.outcome["status"] in STATUSES

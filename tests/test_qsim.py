@@ -125,7 +125,7 @@ def test_xpz_statistics_on_h_r_s():
     assert abs(hits / shots - p) < 3 * sigma
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.lists(
         st.tuples(
@@ -208,7 +208,7 @@ def test_collapse_width_error():
         collapse_two_branch(TwoBranchState(1, (0,), (1,), 1), 0, np.random.default_rng(0))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     st.integers(2, 5),
     st.integers(0, 2**31 - 1),
