@@ -260,18 +260,17 @@ def cmd_commit(args):
 
 
 def cmd_cvqc(args):
-    rounds = args.trials
     if args.ham:
         with _reading("--ham"), open(args.ham, encoding="utf-8") as fh:
             ham = cvqc.parse_hamiltonian(fh.read())
     else:
         ham = cvqc.parse_hamiltonian(_BENCH_HAM)
     with _reading():
-        params = cvqc.GameParams(args.kappa, args.alpha, args.beta)
+        params = cvqc.GameParams(args.kappa, args.alpha)
     seed = _seed_of(args)
     rng = harness.derive_rng(seed, "cvqc", "delegated" if args.delegated
                              else "direct")
-    est = cvqc.estimate_value(ham, params, rounds, rng,
+    est = cvqc.estimate_value(ham, params, args.trials, rng,
                               delegated=args.delegated)
     print("rounds=%d accepted=%d value=%.4f ci=[%.4f, %.4f]"
           % (est["rounds"], est["accepted"], est["value"],
@@ -383,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=0.2)
     p.add_argument("--alpha", type=float, default=-1.0,
                    help="promised energy, in [-1, 1] for sum w_l P_l")
-    p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--ham", metavar="FILE", default=None)
     p.add_argument("--delegated", action="store_true")
     p.set_defaults(func=cmd_cvqc)

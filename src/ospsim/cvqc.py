@@ -128,11 +128,11 @@ def ground_state(ham: Hamiltonian) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GameParams:
-    """Round mix and the promised energy window (alpha, beta)."""
+    """Round mix and the energy window (alpha, beta); beta defaults to inf."""
 
     kappa: float
     alpha: float
-    beta: float = 0.0
+    beta: float = math.inf
 
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:

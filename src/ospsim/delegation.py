@@ -268,9 +268,8 @@ def delegate_on_state(circuit: Circuit, state: qsim.DenseState, input_bits,
             frame.apply_clifford(name, qubits)
         if i < len(targets):
             q = targets[i]
-            if q >= split:
+            if q >= split:  # a phase on a bit is global: only the keys count
                 tiny = qsim.DenseState.from_bits((padded[q - split],))
-                tiny = qsim.apply_gate(tiny, "TDG", [0])
                 res = gadgets.encrypted_phase(tiny, 0, frame.r[q], rng, source)
             else:
                 state = qsim.apply_gate(state, "TDG", [q])

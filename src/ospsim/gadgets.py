@@ -4,12 +4,16 @@ The sender picks which gate actually happens (a phase power, or whether a
 CNOT fires at all); the receiver executes a fixed circuit on its own data
 plus the prepared qubits and reports measurement bits.  The sender then
 knows the Pauli correction keys while the receiver holds the corrected
-state none the wiser.
+state none the wiser.  The phase gadget never puts its helper on the
+dense state: its phase lands as a diagonal on the target wire, checked
+against the literal teleport circuit in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import osp, qsim
 
@@ -22,16 +26,16 @@ class PhaseGadgetResult:
     x_key: int
     z_key: int
     outcome_bit: int
-    transcript: list = field(default_factory=list)
 
 
 def encrypted_phase(state: qsim.DenseState, target: int, b: int, rng,
                     source=None) -> PhaseGadgetResult:
     """Apply the b-th power of the phase gate to `target` under Pauli keys.
 
-    The prepared qubit H^b|s> is twisted into Z^s P^b |+>, appended, hit by
-    a CNOT from the data qubit, and read out in the Z basis.  The data
-    qubit ends as Z^{z_key} P^b (data); the X key is always zero.
+    The prepared qubit H^b|s> is twisted into h = Z^s P^b |+>.  A CNOT
+    from the data qubit into h and a uniform Z readout m of h would leave
+    sqrt(2) diag(h[m], h[m^1]) on the data qubit; that is applied directly.
+    The data qubit ends as Z^{z_key} P^b (data); the X key is always zero.
     """
     if b not in (0, 1):
         raise ValueError("phase power must be 0 or 1")
@@ -39,18 +43,13 @@ def encrypted_phase(state: qsim.DenseState, target: int, b: int, rng,
         source = osp.ideal_stub_source
     s, descr = source(b, rng)
     helper = qsim.apply_1q(qsim.apply_1q(descr, "H"), "SQRTX")
-
-    n = state.num_qubits
-    work = state.tensor(helper.densify())
-    work = qsim.apply_gate(work, "CNOT", [target, n])
-    (m,), work = qsim.measure(work, [n], qsim.Basis.Z, rng)
-    work = qsim.drop_qubits(work, [n], (m,))
-    z_key = s ^ (m & b)
-    transcript = [
-        {"role": "client", "kind": "prepared-qubit", "payload": {}},
-        {"role": "server", "kind": "phase-outcome", "payload": {"m": m}},
-    ]
-    return PhaseGadgetResult(work, 0, z_key, m, transcript)
+    if helper.is_basis:
+        raise ValueError("phase helper must lie on the XY plane")
+    h = helper.densify().amplitudes
+    m = int(rng.choice(2, p=[0.5, 0.5]))
+    phase = np.diag(np.sqrt(2) * h[[m, m ^ 1]])
+    return PhaseGadgetResult(qsim.apply_gate(state, phase, [target]), 0,
+                             s ^ (m & b), m)
 
 
 # ---------------------------------------------------------- encrypted CNOT

@@ -40,6 +40,7 @@ ROLES = ("client", "server")
 
 _LENGTH = struct.Struct(">I")
 _TURN_END = _LENGTH.pack(0xFFFFFFFF)
+_DETAIL_CHARS = 500  # a failure detail may quote a peer: only its head is kept
 _NAMESPACE = uuid.uuid5(uuid.NAMESPACE_URL, "ospsim-session")
 
 
@@ -421,6 +422,8 @@ def _socket_session(party, conn, protocol, seed, timeout):
 def _finish(party, protocol, seed, role, status, detail, messages):
     outcome = {"status": status,
                "result": party.result if status == "complete" else None}
+    if detail and len(detail) > _DETAIL_CHARS:
+        detail = "%s... (%d chars)" % (detail[:_DETAIL_CHARS], len(detail))
     if detail:
         outcome["detail"] = detail
     return Transcript(protocol, int(seed), session_id(protocol, seed), role,

@@ -94,13 +94,22 @@ def test_cvqc_command(capsys):
     assert "value=" in out and out.count("physical=") == 1
     assert "benchmark=" not in out
     with pytest.raises(SystemExit) as exc:
-        cli.main(["cvqc", "--kappa", "1", "--alpha", "5", "--beta", "6"])
+        cli.main(["cvqc", "--kappa", "1", "--alpha", "5"])
     assert exc.value.code == 2
     assert "alpha must lie in [-1, 1]" in capsys.readouterr().err
 
 
+def test_cvqc_accepts_any_alpha_in_range(capsys):
+    # there is no --beta; a positive alpha needs no window end above it
+    assert cli.main(["cvqc", "--trials", "20", "--alpha", "0.5"]) == 0
+    assert "rounds=20" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cvqc", "--beta", "6"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("argv,message", [
-    (["cvqc", "--alpha", "5", "--beta", "6"],
+    (["cvqc", "--alpha", "5"],
      "ospsim cvqc: error: alpha must lie in [-1, 1]"),
     (["osp-trace", "--path", "amplified", "--delta", "abc"],
      "ospsim osp-trace: error: --delta: Invalid literal for Fraction: 'abc'"),

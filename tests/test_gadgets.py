@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ospsim import gadgets, gf2, osp, qsim
+from ospsim import acceptance, gadgets, gf2, osp, qsim
 
 
 def rng_for(seed):
@@ -93,6 +93,75 @@ def test_phase_gadget_key_rule():
 def test_phase_gadget_rejects_bad_power():
     with pytest.raises(ValueError):
         gadgets.encrypted_phase(SINGLE_QUBIT_PROBES[0], 0, 2, rng_for(0))
+
+
+def literal_phase_gadget(state, target, b, rng, source):
+    """The teleport circuit encrypted_phase stands for: append the helper,
+    CNOT the data qubit into it, read it out in the Z basis, drop it.
+    Returns (state, z_key, outcome bit)."""
+    s, descr = source(b, rng)
+    helper = qsim.apply_1q(qsim.apply_1q(descr, "H"), "SQRTX")
+    n = state.num_qubits
+    work = state.tensor(helper.densify())
+    work = qsim.apply_gate(work, "CNOT", [target, n])
+    (m,), work = qsim.measure(work, [n], qsim.Basis.Z, rng)
+    return qsim.drop_qubits(work, [n], (m,)), s ^ (m & b), m
+
+
+def criterion_6_inputs():
+    """The 136 two-qubit inputs of acceptance criterion 6."""
+    rng = acceptance._rng("c6")
+    return ([acceptance._probe_pair(i, j) for i in range(6) for j in range(6)]
+            + [acceptance._random_state(rng, 2) for _ in range(100)])
+
+
+@pytest.mark.parametrize("source", [osp.ideal_stub_source,
+                                    osp.tcf_two_round_source(3)],
+                         ids=["ideal-stub", "tcf-two-round"])
+def test_phase_gadget_matches_the_literal_circuit(source):
+    for k, inp in enumerate(criterion_6_inputs()):
+        for b in (0, 1):
+            for target in (0, 1):
+                seed = [k, b, target]
+                oracle_rng, rng = rng_for(seed), rng_for(seed)
+                want, z_key, m = literal_phase_gadget(inp, target, b,
+                                                      oracle_rng, source)
+                res = gadgets.encrypted_phase(inp, target, b, rng, source)
+                assert (res.outcome_bit, res.z_key) == (m, z_key)
+                np.testing.assert_allclose(res.state.amplitudes,
+                                           want.amplitudes, rtol=0, atol=1e-12)
+                # same draws as the circuit: the streams continue alike
+                assert rng.random() == oracle_rng.random()
+
+
+def test_phase_gadget_never_widens_the_state(monkeypatch):
+    widths = []
+    init = qsim.DenseState.__init__
+
+    def recording_init(self, amplitudes):
+        init(self, amplitudes)
+        widths.append(self.num_qubits)
+
+    probe = random_state(3, rng_for(20))
+    monkeypatch.setattr(qsim.DenseState, "__init__", recording_init)
+    rng = rng_for(21)
+    for b in (0, 1):
+        for target in range(3):
+            gadgets.encrypted_phase(probe, target, b, rng)
+    assert max(widths) == probe.num_qubits
+
+
+def test_phase_gadget_rejects_a_basis_state_helper():
+    # H then SQRTX takes (|0> - i|1>)/sqrt2 to a basis state, whose
+    # readout would not be uniform
+    def source(b, rng):
+        return 0, qsim.plane_descriptor(-1j)
+
+    assert qsim.apply_1q(qsim.apply_1q(source(0, None)[1], "H"),
+                         "SQRTX").is_basis
+    with pytest.raises(ValueError, match="XY plane"):
+        gadgets.encrypted_phase(SINGLE_QUBIT_PROBES[2], 0, 1, rng_for(0),
+                                source)
 
 
 # ------------------------------------------------------------- CNOT gadget

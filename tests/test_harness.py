@@ -455,6 +455,35 @@ def test_undecodable_body_ends_the_session_with_error(protocol, role, where,
     assert transcript.outcome["result"] is None
 
 
+_SID = harness.session_id("poq", 5)
+
+
+def _hello_with_protocol(protocol):
+    return harness._encode_frame({"harness": harness.HARNESS_VERSION,
+                                  "protocol": protocol, "session": _SID,
+                                  "seed": 5})
+
+
+def _turn_of(body):
+    return _peer_hello("poq") + _prefixed(body) + harness._TURN_END * 2
+
+
+@pytest.mark.parametrize("data", [
+    _hello_with_protocol("p" * 2_000_000),
+    _turn_of(harness.canonical_json(harness.Message(
+        _SID, 0, "client", "k" * 1_000_000, {}).to_dict())),
+    _turn_of(harness.canonical_json(dict(
+        harness.Message(_SID, 0, "client", "round-params", {}).to_dict(),
+        **{"f%d" % i: 0 for i in range(100_000)}))),
+], ids=["long-hello-protocol", "long-kind", "many-fields"])
+def test_peer_text_in_the_detail_is_capped(data):
+    transcript = _session_over_socketpair("poq", "server", data)
+    detail = transcript.outcome["detail"]
+    assert transcript.outcome["status"] == "error"
+    assert len(detail) <= 600
+    assert detail.endswith(" chars)")
+
+
 # -------------------------------------------------------------- byte fuzz
 
 

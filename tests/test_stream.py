@@ -2,9 +2,10 @@
 
 One sha256 covers seeded energy-game rounds, direct and delegated, plus
 the in-process OT and quantumness-test transcripts.  Those runs measure
-dense states in every basis the protocols use, run the switched-CNOT and
-phase gadgets and drop measured wires.  A change that alters an outcome,
-or the count or order of random draws, changes the digest.
+dense states in every basis the protocols use and run the switched-CNOT
+gadget, which drops measured wires, and the phase gadget, which draws
+its uniform readout without one.  A change that alters an outcome, or the
+count or order of random draws, changes the digest.
 """
 
 import hashlib
