@@ -107,7 +107,7 @@ def criterion_3() -> CriterionResult:
         for _ in range(1000):
             pp, sp = tcf.gen("plain", 0, 4, 0, 1, int(rng.integers(0, 1 << 63)))
             claw = osp.differentiate(osp.csg_from_tcf(pp, sp, rng), rng)
-            out = osp.osp_from_csg(lambda _r, c=claw: c, b, rng)
+            out = osp.osp_from_csg(claw, b, rng)
             if out.aborted or not _norm_ok(out):
                 bad.append("multi-round b=%d" % b)
 
@@ -123,7 +123,7 @@ def criterion_3() -> CriterionResult:
             lossy_aborts += 1
             continue
         claw = osp.differentiate(csg, rng)
-        out = osp.osp_from_csg(lambda _r, c=claw: c, b, rng)
+        out = osp.osp_from_csg(claw, b, rng)
         if out.aborted or not _norm_ok(out):
             bad.append("multi-round-lossy b=%d" % b)
     if not 24 <= lossy_aborts <= 101:  # Binomial(1000, 1/16) within 5 sigma

@@ -638,9 +638,14 @@ class OtSenderParty:
             payload = msg["payload"]
             if payload["variant"] != self.variant or payload["lam"] != self.lam:
                 raise ValueError("obligation header mismatch")
-            self.states = [descriptor_from_json(e["state"])
-                           for e in payload["instances"]]
-            self.coms = [e.get("com") for e in payload["instances"]]
+            instances = payload["instances"]
+            if len(instances) != 2 * self.lam:
+                raise ValueError("expected %d instances, got %d"
+                                 % (2 * self.lam, len(instances)))
+            self.states = [descriptor_from_json(e["state"]) for e in instances]
+            if any(state.width != 2 for state in self.states):
+                raise ValueError("every instance state must have width 2")
+            self.coms = [e.get("com") for e in instances]
             picked = self.rng.permutation(2 * self.lam)[: self.lam]
             self.check_set = tuple(sorted(int(i) for i in picked))
             return [{"kind": "check-set", "payload": {"T": list(self.check_set)}}]

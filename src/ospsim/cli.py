@@ -296,11 +296,8 @@ def cmd_osp_trace(args):
     elif args.path == "multi-round":
         n = args.n if args.n is not None else 4
         pp, sp = tcf.gen("plain", 0, n, 0, 1, int(rng.integers(0, 1 << 63)))
-
-        def source(r):
-            return osp.differentiate(osp.csg_from_tcf(pp, sp, r), r)
-
-        out = osp.osp_from_csg(source, b, rng)
+        claw = osp.differentiate(osp.csg_from_tcf(pp, sp, rng), rng)
+        out = osp.osp_from_csg(claw, b, rng)
     else:
         n = args.n if args.n is not None else 2
         out = osp.amplified_two_round_osp(b, args.lam, rng, n, 1, delta)

@@ -269,16 +269,14 @@ def delegate_on_state(circuit: Circuit, state: qsim.DenseState, input_bits,
         if i < len(targets):
             q = targets[i]
             if q >= split:  # a phase on a bit is global: only the keys count
-                tiny = qsim.DenseState.from_bits((padded[q - split],))
-                res = gadgets.encrypted_phase(tiny, 0, frame.r[q], rng, source)
+                _, z_key, m = gadgets.phase_readout(frame.r[q], rng, source)
             else:
                 state = qsim.apply_gate(state, "TDG", [q])
                 res = gadgets.encrypted_phase(state, q, frame.r[q], rng, source)
-                state = res.state
-            frame.s[q] ^= res.z_key
+                state, z_key, m = res.state, res.z_key, res.outcome_bit
+            frame.s[q] ^= z_key
             transcript.append(
-                {"role": "server", "kind": "phase-outcome",
-                 "payload": {"m": res.outcome_bit}}
+                {"role": "server", "kind": "phase-outcome", "payload": {"m": m}}
             )
     return DelegationResult(circuit, state, frame, transcript, tuple(padded))
 

@@ -4,9 +4,11 @@ The sender picks which gate actually happens (a phase power, or whether a
 CNOT fires at all); the receiver executes a fixed circuit on its own data
 plus the prepared qubits and reports measurement bits.  The sender then
 knows the Pauli correction keys while the receiver holds the corrected
-state none the wiser.  The phase gadget never puts its helper on the
-dense state: its phase lands as a diagonal on the target wire, checked
-against the literal teleport circuit in the tests.
+state none the wiser.  Neither gadget puts its helpers on the dense
+state: the readouts are uniform, so they are drawn directly, and what the
+circuit leaves on the data is applied as one operator on the data wires
+(a diagonal on the phase target, a 4x4 block on the CNOT pair).  Both
+closed forms are checked against their literal circuits in the tests.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ class PhaseGadgetResult:
     outcome_bit: int
 
 
-def encrypted_phase(state: qsim.DenseState, target: int, b: int, rng,
-                    source=None) -> PhaseGadgetResult:
-    """Apply the b-th power of the phase gate to `target` under Pauli keys.
+def phase_readout(b: int, rng, source=None):
+    """The draws of the phase-power gadget, without touching any state.
 
     The prepared qubit H^b|s> is twisted into h = Z^s P^b |+>.  A CNOT
     from the data qubit into h and a uniform Z readout m of h would leave
-    sqrt(2) diag(h[m], h[m^1]) on the data qubit; that is applied directly.
-    The data qubit ends as Z^{z_key} P^b (data); the X key is always zero.
+    sqrt(2) diag(h[m], h[m^1]) on the data qubit.  Returns that diagonal,
+    the Z key s ^ (m & b) and m.
     """
     if b not in (0, 1):
         raise ValueError("phase power must be 0 or 1")
@@ -47,9 +48,19 @@ def encrypted_phase(state: qsim.DenseState, target: int, b: int, rng,
         raise ValueError("phase helper must lie on the XY plane")
     h = helper.densify().amplitudes
     m = int(rng.choice(2, p=[0.5, 0.5]))
-    phase = np.diag(np.sqrt(2) * h[[m, m ^ 1]])
+    return np.diag(np.sqrt(2) * h[[m, m ^ 1]]), s ^ (m & b), m
+
+
+def encrypted_phase(state: qsim.DenseState, target: int, b: int, rng,
+                    source=None) -> PhaseGadgetResult:
+    """Apply the b-th power of the phase gate to `target` under Pauli keys.
+
+    The diagonal from `phase_readout` is applied to the data qubit, which
+    ends as Z^{z_key} P^b (data); the X key is always zero.
+    """
+    phase, z_key, m = phase_readout(b, rng, source)
     return PhaseGadgetResult(qsim.apply_gate(state, phase, [target]), 0,
-                             s ^ (m & b), m)
+                             z_key, m)
 
 
 # ---------------------------------------------------------- encrypted CNOT
@@ -76,24 +87,34 @@ def ecnot_gen(b: int, rng, source=None):
 
 
 def ecnot_apply(state: qsim.DenseState, v0: int, v1: int, helpers, rng):
-    """Server circuit: three CNOTs through the helpers, then read them out.
+    """Server side: the teleported gate as one operator on [v0, v1].
 
-    Helper 0 is consumed in the X basis (bit m0), helper 1 in the Z basis
-    (bit m1).  Returns the remaining state and (m0, m1).
+    The circuit runs CNOTs v0 -> h1, h0 -> h1 and h0 -> v1, then reads
+    helper 0 in the X basis (bit m0) and helper 1 in the Z basis (bit m1).
+    With a0, a1 the helpers' amplitudes, that leaves on v1, for control
+    value c on v0, the block
+
+        B_c = sqrt(2) sum_a (-1)^(m0 a) a0[a] a1[m1 ^ c ^ a] X^a.
+
+    When exactly one helper is a basis state and the other lies on the XY
+    plane, as `ecnot_gen` makes them, diag(B_0, B_1) is unitary and every
+    (m0, m1) has probability 1/4, so the bits are drawn uniformly and the
+    operator is applied directly.  Any other pair raises ValueError.
+    Returns the state and (m0, m1).
     """
     h0, h1 = helpers
-    n = state.num_qubits
-    work = state.tensor(h0.densify()).tensor(h1.densify())
-    q0, q1 = n, n + 1
-    work = qsim.apply_gate(work, "CNOT", [v0, q1])
-    work = qsim.apply_gate(work, "CNOT", [q0, q1])
-    work = qsim.apply_gate(work, "CNOT", [q0, v1])
-    (m0,), work = qsim.measure(work, [q0], qsim.Basis.X, rng)
-    work = qsim.apply_gate(work, "H", [q0])
-    work = qsim.drop_qubits(work, [q0], (m0,))
-    (m1,), work = qsim.measure(work, [q1 - 1], qsim.Basis.Z, rng)
-    work = qsim.drop_qubits(work, [q1 - 1], (m1,))
-    return work, (m0, m1)
+    if h0.width != 1 or h1.width != 1 or h0.is_basis == h1.is_basis:
+        raise ValueError("CNOT helpers must be one basis qubit and one "
+                         "qubit on the XY plane")
+    a0, a1 = h0.densify().amplitudes, h1.densify().amplitudes
+    m0 = int(rng.choice(2, p=[0.5, 0.5]))
+    m1 = int(rng.choice(2, p=[0.5, 0.5]))
+    op = np.zeros((4, 4), dtype=complex)
+    for c in (0, 1):  # B_c / sqrt(2) = w0 I + w1 X
+        w0 = a0[0] * a1[m1 ^ c]
+        w1 = (-1) ** m0 * a0[1] * a1[m1 ^ c ^ 1]
+        op[2 * c:2 * c + 2, 2 * c:2 * c + 2] = [[w0, w1], [w1, w0]]
+    return qsim.apply_gate(state, np.sqrt(2) * op, [v0, v1]), (m0, m1)
 
 
 def ecnot_dec(b: int, t0: int, t1: int, m0: int, m1: int):
@@ -141,7 +162,7 @@ def csg_from_ecnot(n: int, rng, source=None) -> osp.CsgOutcome:
     """
     if n < 1:
         raise ValueError("need at least one target qubit")
-    if n + 3 > qsim.MAX_DENSE_QUBITS:
+    if n + 1 > qsim.MAX_DENSE_QUBITS:
         raise ValueError("claw width exceeds the dense simulation budget")
     delta = tuple(int(t) for t in rng.integers(0, 2, n))
     while not any(delta):

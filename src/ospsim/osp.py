@@ -119,16 +119,16 @@ def differentiate(outcome: CsgOutcome, rng) -> CsgOutcome:
 # ------------------------------------------------- multi-round OSP from CSG
 
 
-def osp_from_csg(csg_source, chosen_b, rng) -> OspOutcome:
+def osp_from_csg(outcome: CsgOutcome, chosen_b, rng) -> OspOutcome:
     """Reduce a differentiated claw state to a single prepared qubit.
 
-    csg_source(rng) must return a differentiated CsgOutcome.  The sender
-    draws masks (r0, r1), the receiver appends the branch-dependent inner
-    product bit and Hadamard-measures everything else; the sender's basis
-    bit falls out as (x0, x1).(r0, r1).  With chosen_b set, the sender
-    additionally announces c = chosen_b xor b and the receiver applies H^c.
+    outcome must be a differentiated CsgOutcome; an aborted one passes
+    through as an aborted result.  The sender draws masks (r0, r1), the
+    receiver appends the branch-dependent inner product bit and
+    Hadamard-measures everything else; the sender's basis bit falls out
+    as (x0, x1).(r0, r1).  With chosen_b set, the sender additionally
+    announces c = chosen_b xor b and the receiver applies H^c.
     """
-    outcome = csg_source(rng)
     if outcome.aborted:
         return OspOutcome(chosen_b, None, None, list(outcome.transcript), aborted=True)
     if not outcome.differentiated:

@@ -353,6 +353,37 @@ def test_ot_sender_accepts_well_formed_honest_openings():
         i for i in range(8) if i not in check_set["payload"]["T"]]
 
 
+def _no_instances(instances):
+    instances.clear()
+
+
+def _one_instance_short(instances):
+    instances.pop()
+
+
+def _one_instance_extra(instances):
+    instances.append(dict(instances[0]))
+
+
+def _one_wide_state(instances):
+    instances[3]["state"] = apps.descriptor_to_json(
+        qsim.basis_descriptor((0, 1, 0)))
+
+
+@pytest.mark.parametrize("edit", [
+    _no_instances, _one_instance_short, _one_instance_extra, _one_wide_state,
+])
+def test_ot_sender_checks_the_obligations_before_it_draws(edit):
+    receiver = apps.OtReceiverParty(1, 4, "search", rng_for(92))
+    sender = apps.OtSenderParty(4, "search", rng_for(93))
+    (obligations,) = receiver.on_message(None)
+    edit(obligations["payload"]["instances"])
+    before = sender.rng.bit_generator.state
+    with pytest.raises(ValueError, match="instance"):
+        sender.on_message(obligations)
+    assert sender.rng.bit_generator.state == before
+
+
 # ------------------------------------------------------------ test parties
 
 

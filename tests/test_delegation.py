@@ -326,6 +326,27 @@ def test_classical_readout_draws_no_randomness():
         delegation.classical_output_round(res, rng, wires=[3])
 
 
+def test_phases_on_bit_wires_touch_no_state(monkeypatch):
+    """A phase on a classical wire only moves keys: no gate is applied."""
+    circ = delegation.parse_circuit("QUBITS 2\nT 0\nCNOT 0 1\nTDG 1\n")
+    calls = []
+    apply_gate = qsim.apply_gate
+
+    def counting_apply_gate(*args):
+        calls.append(args[1])
+        return apply_gate(*args)
+
+    monkeypatch.setattr(qsim, "apply_gate", counting_apply_gate)
+    rng = rng_for(37)
+    for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        res = delegation.delegate(circ, bits, rng)
+        assert res.state.num_qubits == 0
+        assert sum(m["kind"] == "phase-outcome" for m in res.transcript) > 0
+        assert (delegation.classical_output_round(res, rng)
+                == delegation.classical_eval(circ, bits))
+    assert calls == []
+
+
 def test_delegate_on_state_validation():
     reg = qsim.DenseState.from_bits((0,))
     circ = delegation.Circuit(3, (("H", (0,)),))

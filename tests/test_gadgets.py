@@ -210,6 +210,97 @@ def test_ecnot_with_protocol_source():
         assert qsim.fidelity(plain, want) >= 1 - 1e-9
 
 
+def literal_ecnot_apply(state, v0, v1, helpers, rng):
+    """The circuit ecnot_apply stands for: append both helpers, CNOT
+    v0 -> h1, h0 -> h1 and h0 -> v1, read h0 in the X basis and h1 in the
+    Z basis, and drop both.  Returns (state, (m0, m1))."""
+    h0, h1 = helpers
+    n = state.num_qubits
+    work = state.tensor(h0.densify()).tensor(h1.densify())
+    q0, q1 = n, n + 1
+    work = qsim.apply_gate(work, "CNOT", [v0, q1])
+    work = qsim.apply_gate(work, "CNOT", [q0, q1])
+    work = qsim.apply_gate(work, "CNOT", [q0, v1])
+    (m0,), work = qsim.measure(work, [q0], qsim.Basis.X, rng)
+    work = qsim.apply_gate(work, "H", [q0])
+    work = qsim.drop_qubits(work, [q0], (m0,))
+    (m1,), work = qsim.measure(work, [q1 - 1], qsim.Basis.Z, rng)
+    work = qsim.drop_qubits(work, [q1 - 1], (m1,))
+    return work, (m0, m1)
+
+
+def ecnot_cases(kind):
+    """(state, v0, v1, helpers, seed) for the oracle test."""
+    if kind in ("ideal-stub", "tcf-two-round"):
+        inputs = criterion_6_inputs()
+        if kind == "ideal-stub":
+            source = osp.ideal_stub_source
+        else:
+            source = osp.tcf_two_round_source(3)
+            inputs = inputs[:40]
+        for k, inp in enumerate(inputs):
+            for b in (0, 1):
+                for v0, v1 in ((0, 1), (1, 0)):
+                    seed = [k, b, v0]
+                    _, helpers = gadgets.ecnot_gen(b, rng_for(seed + [9]),
+                                                   source)
+                    yield inp, v0, v1, helpers, seed
+    elif kind == "three-qubit":
+        rng = rng_for(30)
+        for k in range(100):
+            _, helpers = gadgets.ecnot_gen(k & 1, rng)
+            yield random_state(3, rng), 2, 0, helpers, [k]
+    else:  # every eighth-root phase on the plane helper, in either slot
+        rng = rng_for(31)
+        for k in range(200):
+            plane = qsim.plane_descriptor(qsim.PHASE_GRID[(k >> 1) % 8])
+            basis = qsim.basis_descriptor(((k >> 4) & 1,))
+            helpers = (plane, basis) if k & 1 else (basis, plane)
+            yield random_state(2, rng), 0, 1, helpers, [k]
+
+
+@pytest.mark.parametrize("kind", ["ideal-stub", "tcf-two-round",
+                                  "three-qubit", "eighth-root-helpers"])
+def test_ecnot_matches_the_literal_circuit(kind):
+    for state, v0, v1, helpers, seed in ecnot_cases(kind):
+        oracle_rng, rng = rng_for(seed), rng_for(seed)
+        want, want_bits = literal_ecnot_apply(state, v0, v1, helpers,
+                                              oracle_rng)
+        got, bits = gadgets.ecnot_apply(state, v0, v1, helpers, rng)
+        assert bits == want_bits
+        np.testing.assert_allclose(got.amplitudes, want.amplitudes,
+                                   rtol=0, atol=1e-12)
+        # same draws as the circuit: the streams continue alike
+        assert rng.random() == oracle_rng.random()
+
+
+def test_ecnot_never_widens_the_state(monkeypatch):
+    widths = []
+    init = qsim.DenseState.__init__
+
+    def recording_init(self, amplitudes):
+        init(self, amplitudes)
+        widths.append(self.num_qubits)
+
+    probe = random_state(3, rng_for(22))
+    monkeypatch.setattr(qsim.DenseState, "__init__", recording_init)
+    rng = rng_for(23)
+    for b in (0, 1):
+        for v0, v1 in ((0, 1), (2, 0)):
+            gadgets.ecnot_run(probe, v0, v1, b, rng)
+    assert max(widths) == probe.num_qubits
+
+
+@pytest.mark.parametrize("helpers", [
+    (qsim.basis_descriptor((0,)), qsim.basis_descriptor((1,))),
+    (qsim.plane_descriptor(1), qsim.plane_descriptor(-1j)),
+], ids=["two-basis", "two-plane"])
+def test_ecnot_rejects_a_helper_pair_of_one_kind(helpers):
+    with pytest.raises(ValueError, match="helpers"):
+        gadgets.ecnot_apply(random_state(2, rng_for(24)), 0, 1, helpers,
+                            rng_for(25))
+
+
 def test_ecnot_decode_table():
     for t0 in (0, 1):
         for t1 in (0, 1):
@@ -264,7 +355,7 @@ def test_csg_from_ecnot_difference_never_zero():
 def test_csg_from_ecnot_feeds_osp():
     rng = rng_for(13)
     for want in (0, 1):
-        out = osp.osp_from_csg(lambda r: gadgets.csg_from_ecnot(3, r), want, rng)
+        out = osp.osp_from_csg(gadgets.csg_from_ecnot(3, rng), want, rng)
         assert out.b == want
         assert qsim.projection_norm(out, "OSP") == pytest.approx(1.0, abs=1e-9)
 
@@ -273,4 +364,4 @@ def test_csg_from_ecnot_validation():
     with pytest.raises(ValueError):
         gadgets.csg_from_ecnot(0, rng_for(0))
     with pytest.raises(ValueError):
-        gadgets.csg_from_ecnot(18, rng_for(0))
+        gadgets.csg_from_ecnot(20, rng_for(0))

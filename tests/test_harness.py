@@ -393,6 +393,26 @@ def test_party_fault_ends_the_session_with_error(kind, payload, detail):
     assert server.messages == [msg]
 
 
+def _ot_states(*widths):
+    return [{"state": {"width": w, "u": "0" * w, "v": "0" * w, "phase": 0}}
+            for w in widths]
+
+
+@pytest.mark.parametrize("instances", [
+    [], _ot_states(2, 2, 2), _ot_states(2, 2, 2, 20),
+], ids=["none", "one-short", "width-20-state"])
+def test_malformed_obligations_end_the_sender_session(instances):
+    sid = harness.session_id("ot", 5)
+    msg = harness.Message(sid, 0, "client", "obligations",
+                          {"lam": 2, "variant": "search",
+                           "instances": instances})
+    server = _serve_against("ot", {"lam": 2, "b": 1}, [msg])
+    assert server.outcome["status"] == "error"
+    assert server.outcome["detail"].startswith(
+        "obligations message rejected: ValueError")
+    assert server.messages == [msg]
+
+
 def test_out_of_range_check_set_ends_the_receiver_session():
     """An OT check-set index >= 2 lambda is a peer fault, not a crash."""
     seed, config = 8, {"lam": 4, "b": 1}

@@ -140,7 +140,7 @@ def test_osp_from_csg_basis_bit_formula():
     # x0=01, x1=10 with masks r0=11, r1=01: inner products 1 and 0, so b=1.
     source_out = osp.differentiate(_claw_outcome((0, 1), (1, 0)), rng_for(0))
     rng = ScriptedRng([1, 1, 0, 1, 0, 0, 0])
-    out = osp.osp_from_csg(lambda _: source_out, None, rng)
+    out = osp.osp_from_csg(source_out, None, rng)
     assert out.b == 1
     assert out.s == 0
     assert qsim.projection_norm(out, "OSP") == pytest.approx(1.0, abs=1e-9)
@@ -150,12 +150,10 @@ def test_osp_from_csg_norm_sweep():
     pp, sp = tcf.gen("plain", 0, 4, 0, 1, seed=2)
     rng = rng_for(10)
 
-    def source(r):
-        return osp.differentiate(osp.csg_from_tcf(pp, sp, r), r)
-
     seen_b = set()
     for _ in range(60):
-        out = osp.osp_from_csg(source, None, rng)
+        claw = osp.differentiate(osp.csg_from_tcf(pp, sp, rng), rng)
+        out = osp.osp_from_csg(claw, None, rng)
         assert not out.aborted
         assert out.s in (0, 1)
         seen_b.add(out.b)
@@ -167,12 +165,10 @@ def test_osp_from_csg_chosen_basis():
     pp, sp = tcf.gen("plain", 0, 4, 0, 1, seed=2)
     rng = rng_for(11)
 
-    def source(r):
-        return osp.differentiate(osp.csg_from_tcf(pp, sp, r), r)
-
     for want in (0, 1):
         for _ in range(20):
-            out = osp.osp_from_csg(source, want, rng)
+            claw = osp.differentiate(osp.csg_from_tcf(pp, sp, rng), rng)
+            out = osp.osp_from_csg(claw, want, rng)
             assert out.b == want
             assert qsim.projection_norm(out, "OSP") == pytest.approx(1.0, abs=1e-9)
             assert any(m["kind"] == "basis-correction" for m in out.transcript)
@@ -180,14 +176,14 @@ def test_osp_from_csg_chosen_basis():
 
 def test_osp_from_csg_propagates_abort():
     aborted = osp.CsgOutcome((0,), (1,), 0, None, [], aborted=True)
-    out = osp.osp_from_csg(lambda _: aborted, 1, rng_for(0))
+    out = osp.osp_from_csg(aborted, 1, rng_for(0))
     assert out.aborted and out.s is None and out.receiver_state is None
 
 
 def test_osp_from_csg_requires_tag():
     plain = _claw_outcome((0, 1), (1, 0))
     with pytest.raises(ValueError):
-        osp.osp_from_csg(lambda _: plain, None, rng_for(0))
+        osp.osp_from_csg(plain, None, rng_for(0))
 
 
 def test_osp_from_csg_dense_oracle():

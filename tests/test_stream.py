@@ -3,18 +3,21 @@
 One sha256 covers seeded energy-game rounds, direct and delegated, plus
 the in-process OT and quantumness-test transcripts.  Those runs measure
 dense states in every basis the protocols use and run the switched-CNOT
-gadget, which drops measured wires, and the phase gadget, which draws
-its uniform readout without one.  A change that alters an outcome, or the
-count or order of random draws, changes the digest.
+and phase gadgets, which draw their uniform helper readouts without
+putting the helpers on the state.  A change that alters an outcome, or
+the count or order of random draws, changes the digest.  A second
+sha256 pins what the switched-CNOT gadget feeds: public-key ciphertexts,
+claw states and OT results.
 """
 
 import hashlib
 
 import numpy as np
 
-from ospsim import cvqc, harness
+from ospsim import apps, cvqc, gadgets, harness
 
 PINNED = "3975d82b36d7a7401031a174573c1a986c4e567f39fe5e449d2f85bc7acfefb9"
+GADGET_PINNED = "e7cb8cbd3236658aef18f974996d492397c469d3e552037811c582448137ad59"
 
 _PAIR = "QUBITS 2\nX 0 1 0.5\nZ 0 1 0.5\n"
 _CHAIN = "QUBITS 3\nX 0 1 0.25\nX 1 2 0.25\nZ 0 1 0.25\nZ 1 2 0.25\n"
@@ -46,3 +49,31 @@ def _stream_digest() -> str:
 
 def test_seeded_stream_matches_the_pinned_digest():
     assert _stream_digest() == PINNED
+
+
+def _gadget_digest() -> str:
+    """Seeded outputs of everything the switched-CNOT gadget feeds:
+    public-key ciphertexts, claw states and both OT variants."""
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(71)
+    for i in range(200):
+        ct = apps.pke_roundtrip(i & 1, rng)["ct"]
+        digest.update(repr((ct["report"], ct["branch"], ct["masked"])).encode())
+    rng = np.random.default_rng(72)
+    for _ in range(100):
+        out = gadgets.csg_from_ecnot(3, rng)
+        digest.update(repr((out.x0, out.x1, out.z,
+                            apps.descriptor_to_json(out.receiver_state)))
+                      .encode())
+    rng = np.random.default_rng(73)
+    for variant in ("search", "indistinguishability"):
+        for b in (0, 1):
+            for _ in range(10):
+                res = apps.ot_run(variant, b, 4, rng)
+                digest.update(repr((res.receiver_value, res.r0, res.r1,
+                                    res.caught, res.per_index)).encode())
+    return digest.hexdigest()
+
+
+def test_switched_cnot_stream_matches_the_pinned_digest():
+    assert _gadget_digest() == GADGET_PINNED
