@@ -48,6 +48,8 @@ class Hamiltonian:
                 raise ValueError("term acts on two distinct qubits")
             if not (0 <= i < self.num_qubits and 0 <= j < self.num_qubits):
                 raise ValueError("qubit index out of range")
+            if not math.isfinite(weight):
+                raise ValueError("weights must be finite, got %r" % weight)
             if weight < 0:
                 raise ValueError("weights must be nonnegative")
             total += weight

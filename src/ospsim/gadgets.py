@@ -9,11 +9,18 @@ state: the readouts are uniform, so they are drawn directly, and what the
 circuit leaves on the data is applied as one operator on the data wires
 (a diagonal on the phase target, a 4x4 block on the CNOT pair).  Both
 closed forms are checked against their literal circuits in the tests.
+
+Each uniform readout bit is int(rng.random() >= 0.5).  That is the draw
+rng.choice(2, p=[0.5, 0.5]) makes: it takes one double u and returns the
+number of entries of the cdf [0.5, 1.0] at or below u.  So the bits, and
+the generator's state after them, are the same as with choice, at a
+fraction of its cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,8 +42,9 @@ def phase_readout(b: int, rng, source=None):
 
     The prepared qubit H^b|s> is twisted into h = Z^s P^b |+>.  A CNOT
     from the data qubit into h and a uniform Z readout m of h would leave
-    sqrt(2) diag(h[m], h[m^1]) on the data qubit.  Returns that diagonal,
-    the Z key s ^ (m & b) and m.
+    sqrt(2) diag(h[m], h[m^1]) on the data qubit.  m is drawn as in the
+    module docstring.  Returns that diagonal (read-only, and memoised on
+    the helper and m), the Z key s ^ (m & b) and m.
     """
     if b not in (0, 1):
         raise ValueError("phase power must be 0 or 1")
@@ -46,9 +54,18 @@ def phase_readout(b: int, rng, source=None):
     helper = qsim.apply_1q(qsim.apply_1q(descr, "H"), "SQRTX")
     if helper.is_basis:
         raise ValueError("phase helper must lie on the XY plane")
+    m = int(rng.random() >= 0.5)
+    return _phase_diagonal(helper, m), s ^ (m & b), m
+
+
+# H then SQRTX takes a one-qubit descriptor to one of only four helpers
+# on the XY plane, so this holds at most eight read-only diagonals.
+@lru_cache(maxsize=16)
+def _phase_diagonal(helper: qsim.TwoBranchState, m: int) -> np.ndarray:
     h = helper.densify().amplitudes
-    m = int(rng.choice(2, p=[0.5, 0.5]))
-    return np.diag(np.sqrt(2) * h[[m, m ^ 1]]), s ^ (m & b), m
+    diagonal = np.diag(np.sqrt(2) * h[[m, m ^ 1]])
+    diagonal.flags.writeable = False
+    return diagonal
 
 
 def encrypted_phase(state: qsim.DenseState, target: int, b: int, rng,
@@ -98,8 +115,9 @@ def ecnot_apply(state: qsim.DenseState, v0: int, v1: int, helpers, rng):
 
     When exactly one helper is a basis state and the other lies on the XY
     plane, as `ecnot_gen` makes them, diag(B_0, B_1) is unitary and every
-    (m0, m1) has probability 1/4, so the bits are drawn uniformly and the
-    operator is applied directly.  Any other pair raises ValueError.
+    (m0, m1) has probability 1/4, so the bits are drawn uniformly (m0
+    first, each as in the module docstring) and the operator is applied
+    directly.  Any other pair raises ValueError.
     Returns the state and (m0, m1).
     """
     h0, h1 = helpers
@@ -107,8 +125,8 @@ def ecnot_apply(state: qsim.DenseState, v0: int, v1: int, helpers, rng):
         raise ValueError("CNOT helpers must be one basis qubit and one "
                          "qubit on the XY plane")
     a0, a1 = h0.densify().amplitudes, h1.densify().amplitudes
-    m0 = int(rng.choice(2, p=[0.5, 0.5]))
-    m1 = int(rng.choice(2, p=[0.5, 0.5]))
+    m0 = int(rng.random() >= 0.5)
+    m1 = int(rng.random() >= 0.5)
     op = np.zeros((4, 4), dtype=complex)
     for c in (0, 1):  # B_c / sqrt(2) = w0 I + w1 X
         w0 = a0[0] * a1[m1 ^ c]

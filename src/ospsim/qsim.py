@@ -15,7 +15,11 @@ Conventions
 * Dense states refuse to exceed 20 qubits.  Only _block and _unblock know
   how amplitudes are laid out by wire; gates, measurements and dropped
   wires all go through them, and _block rejects negative, out-of-range and
-  repeated wires.
+  repeated wires.  The axis permutation for each (register width, wire
+  list) is computed and checked once and then cached.
+* Named gates on a one-qubit descriptor are memoised: there are 18 such
+  descriptors, so apply_1q computes each (descriptor, gate name) pair
+  through a dense state once.  Explicit matrices are never cached.
 * Structured phases live on the 8th roots of unity.  Anything richer must be
   densified first.
 """
@@ -26,6 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,8 +153,10 @@ class DenseState:
                 "dense state of %d qubits exceeds the %d-qubit limit"
                 % (n, MAX_DENSE_QUBITS)
             )
-        norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > 1e-6:
+        # np.linalg.norm's own sum for a complex vector, without its dispatch.
+        re, im = vec.real, vec.imag
+        norm = math.sqrt(re.dot(re) + im.dot(im))
+        if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
             raise ValueError("state vector is not normalized (norm %g)" % norm)
         vec = vec / norm
         vec.flags.writeable = False
@@ -182,6 +189,25 @@ class DenseState:
         return "DenseState(%d qubits)" % self.num_qubits
 
 
+@lru_cache(maxsize=4096)
+def _wire_perms(n: int, wires: tuple):
+    """Check wires against n qubits; axis orders to and from wires-first.
+
+    The first order moves the listed wires to the front, in their listed
+    order, and keeps the other wires in order behind them; the second
+    undoes it.
+    """
+    if len(set(wires)) != len(wires):
+        raise ValueError("duplicate wire in %r" % (wires,))
+    if any(not 0 <= q < n for q in wires):
+        raise ValueError("wire out of range for %d qubits in %r" % (n, wires))
+    order = wires + tuple(q for q in range(n) if q not in wires)
+    inverse = [0] * n
+    for axis, q in enumerate(order):
+        inverse[q] = axis
+    return order, tuple(inverse)
+
+
 def _block(state: DenseState, wires):
     """Check the wires and view the amplitudes as a (2^k, rest) block.
 
@@ -191,19 +217,15 @@ def _block(state: DenseState, wires):
     """
     wires = tuple(int(q) for q in wires)
     n = state.num_qubits
-    if len(set(wires)) != len(wires):
-        raise ValueError("duplicate wire in %r" % (wires,))
-    if any(not 0 <= q < n for q in wires):
-        raise ValueError("wire out of range for %d qubits in %r" % (n, wires))
-    arr = state.amplitudes.reshape((2,) * n)
-    arr = np.moveaxis(arr, wires, tuple(range(len(wires))))
+    order = _wire_perms(n, wires)[0]
+    arr = state.amplitudes.reshape((2,) * n).transpose(order)
     return wires, arr.reshape(1 << len(wires), -1)
 
 
 def _unblock(block: np.ndarray, wires) -> DenseState:
     """The state whose _block over the same wires is block."""
-    arr = block.reshape((2,) * (block.size.bit_length() - 1))
-    arr = np.moveaxis(arr, tuple(range(len(wires))), wires)
+    n = block.size.bit_length() - 1
+    arr = block.reshape((2,) * n).transpose(_wire_perms(n, wires)[1])
     return DenseState(arr.reshape(-1))
 
 
@@ -558,16 +580,26 @@ def dense_to_two_branch(state: DenseState) -> TwoBranchState:
     raise ValueError("state has %d-point support, not a branch pair" % hot.size)
 
 
-def apply_1q(descriptor: TwoBranchState, gate) -> TwoBranchState:
-    """Apply a named single-qubit gate to a 1-qubit descriptor exactly."""
-    if descriptor.width != 1:
-        raise ValueError("descriptor must be a single qubit")
-    mat = GATES[gate.upper()] if isinstance(gate, str) else np.asarray(gate)
+def _apply_1q_dense(descriptor: TwoBranchState, mat) -> TwoBranchState:
     vec = mat @ descriptor.densify().amplitudes
     # Normalize global phase so the first significant amplitude is positive.
     ref = vec[0] if abs(vec[0]) > 1e-7 else vec[1]
     vec = vec * (abs(ref) / ref)
     return dense_to_two_branch(DenseState(vec))
+
+
+@lru_cache(maxsize=256)  # 18 one-qubit descriptors times 8 gate names
+def _apply_named_1q(descriptor: TwoBranchState, name: str) -> TwoBranchState:
+    return _apply_1q_dense(descriptor, GATES[name])
+
+
+def apply_1q(descriptor: TwoBranchState, gate) -> TwoBranchState:
+    """Apply a named single-qubit gate to a 1-qubit descriptor exactly."""
+    if descriptor.width != 1:
+        raise ValueError("descriptor must be a single qubit")
+    if isinstance(gate, str):
+        return _apply_named_1q(descriptor, gate.upper())
+    return _apply_1q_dense(descriptor, np.asarray(gate))
 
 
 def measure_descriptor(descriptor: TwoBranchState, basis, rng) -> int:

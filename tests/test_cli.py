@@ -119,16 +119,23 @@ def test_cvqc_accepts_any_alpha_in_range(capsys):
      "ospsim delegate: error: --circuit: [Errno 2] No such file"),
     (["cvqc", "--ham", "{bad_ham}"],
      "ospsim cvqc: error: --ham: axis must be X or Z, got 'Y'"),
+    (["cvqc", "--ham", "{nan_ham}"],
+     "ospsim cvqc: error: --ham: weights must be finite, got nan"),
+    (["cvqc", "--ham", "{inf_ham}"],
+     "ospsim cvqc: error: --ham: weights must be finite, got inf"),
     (["delegate", "--circuit", "{bad_circuit}", "--input", "1"],
      "ospsim delegate: error: input has 1 bits but the circuit has 2"),
 ], ids=["alpha", "delta-text", "delta-zero", "missing-circuit", "bad-ham",
-        "input-width"])
+        "nan-weight", "inf-weight", "input-width"])
 def test_bad_option_values_are_usage_errors(argv, message, tmp_path, capsys):
-    ham = tmp_path / "bad.ham"
-    ham.write_text("QUBITS 2\nY 0 1 1.0\n")
+    files = {}
+    for key, term in (("bad_ham", "Y 0 1 1.0"), ("nan_ham", "X 0 1 nan"),
+                      ("inf_ham", "X 0 1 inf")):
+        files[key] = tmp_path / (key + ".ham")
+        files[key].write_text("QUBITS 2\n%s\n" % term)
     circuit = tmp_path / "c.qc"
     circuit.write_text("QUBITS 2\nH 0\n")
-    argv = [a.format(bad_ham=ham, bad_circuit=circuit) for a in argv]
+    argv = [a.format(bad_circuit=circuit, **files) for a in argv]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2

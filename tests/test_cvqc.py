@@ -60,6 +60,9 @@ def test_parse_rejects_malformed_input():
         "QUBITS 2\nX 0 3 1.0\n",             # out of range
         "QUBITS 2\nX 0 1 0.9\n",             # weights do not sum to one
         "QUBITS 2\nX 0 1 1.5\nZ 0 1 -0.5\n",  # negative weight
+        "QUBITS 2\nX 0 1 nan\n",             # weight not a number
+        "QUBITS 2\nX 0 1 inf\n",             # infinite weight
+        "QUBITS 2\nX 0 1 nan\nZ 0 1 1.0\n",  # NaN beside a valid weight
         "QUBITS 2\nX 0 1\n",                 # wrong arity
         "# nothing here\n",
     ]

@@ -59,6 +59,13 @@ def test_dense_limit_is_hard():
         DenseState(np.ones(1 << 21) / math.sqrt(1 << 21))
 
 
+@pytest.mark.parametrize("amplitudes", [[math.nan, 0], [math.inf, 0]],
+                         ids=["nan", "inf"])
+def test_dense_state_rejects_non_finite_amplitudes(amplitudes):
+    with pytest.raises(ValueError, match="not normalized"):
+        DenseState(amplitudes)
+
+
 def test_measure_plus_in_z_frequencies():
     rng = np.random.default_rng(11)
     plus = DenseState([RS, RS])
@@ -438,6 +445,30 @@ def _embed(ops, n=4):
     return out
 
 
+def _embed_operator(mat, wires, n=4):
+    """mat on the listed wires as a sum of kron products of |a><b| terms."""
+    k = len(wires)
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    for a in range(1 << k):
+        for b in range(1 << k):
+            ket, bra = gf2.int_to_bits(a, k), gf2.int_to_bits(b, k)
+            out += mat[a, b] * _embed({q: np.outer(np.eye(2)[i], np.eye(2)[j])
+                                       for q, i, j in zip(wires, ket, bra)}, n)
+    return out
+
+
+@pytest.mark.parametrize("wires", _WIRE_LISTS)
+def test_apply_gate_matches_kron_operators(wires):
+    k = len(wires)
+    rng = np.random.default_rng(100 + sum(wires) * 7 + k)
+    raw = rng.normal(size=(1 << k,) * 2) + 1j * rng.normal(size=(1 << k,) * 2)
+    unitary = np.linalg.qr(raw)[0]
+    state = _random_state(20 + k)
+    want = _embed_operator(unitary, wires) @ state.amplitudes
+    got = qsim.apply_gate(state, unitary, wires)
+    assert np.allclose(got.amplitudes, want, rtol=0, atol=1e-12)
+
+
 class _Pick:
     """Stand-in generator: records the law handed to choice, returns pick."""
 
@@ -573,6 +604,50 @@ def test_apply_1q_descriptor():
     assert qsim.apply_1q(qsim.basis_descriptor((0,)), "SQRTX") == qsim.plane_descriptor(1j)
     assert qsim.apply_1q(qsim.basis_descriptor((1,)), "SQRTX") == qsim.plane_descriptor(-1j)
     assert qsim.apply_1q(qsim.plane_descriptor(1), "SQRTX") == qsim.plane_descriptor(1)
+
+
+_ONE_QUBIT_GATES = [name for name, mat in qsim.GATES.items()
+                    if mat.shape == (2, 2)]
+_DESCRIPTORS_1Q = [qsim.basis_descriptor((u,)) for u in (0, 1)] + [
+    TwoBranchState(1, (u,), (1 - u,), phase)
+    for u in (0, 1) for phase in qsim.PHASE_GRID]
+
+
+def test_apply_1q_memo_matches_dense_for_every_descriptor():
+    assert len(set(_DESCRIPTORS_1Q)) == 18
+    qsim._apply_named_1q.cache_clear()
+    exact = 0
+    for descriptor in _DESCRIPTORS_1Q:
+        for name in _ONE_QUBIT_GATES:
+            vec = qsim.GATES[name] @ descriptor.densify().amplitudes
+            try:
+                want = qsim.dense_to_two_branch(DenseState(vec))
+            except ValueError:  # e.g. H on a pi/4 phase: not a branch pair
+                want = None
+            exact += want is not None
+            for spelled in (name, name.lower(), name):  # later calls hit
+                if want is None:
+                    with pytest.raises(ValueError):
+                        qsim.apply_1q(descriptor, spelled)
+                else:
+                    assert qsim.apply_1q(descriptor, spelled) == want
+    assert exact > 100
+    assert qsim._apply_named_1q.cache_info().currsize == exact
+
+
+def test_apply_1q_errors_are_not_memoised_and_matrices_not_cached():
+    plus = qsim.plane_descriptor(1)
+    pair = TwoBranchState(2, (0, 0), (1, 1))
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            qsim.apply_1q(plus, "CNOT")
+        with pytest.raises(ValueError):
+            qsim.apply_1q(pair, "H")
+    size = qsim._apply_named_1q.cache_info().currsize
+    hadamard = np.array([[1, 1], [1, -1]]) * RS
+    assert qsim.apply_1q(plus, hadamard) == qsim.basis_descriptor((0,))
+    assert qsim.apply_1q(plus, -hadamard) == qsim.basis_descriptor((0,))
+    assert qsim._apply_named_1q.cache_info().currsize == size
 
 
 def test_measure_descriptor():
