@@ -67,18 +67,24 @@ def _drive(client, server):
 def _wire_params(pp) -> dict:
     """Public function parameters plus the full table, json-ready."""
     payload = pp.serialize()
-    payload["table"] = [[int(v) for v in row] for row in np.atleast_2d(pp.table)]
+    payload["table"] = [list(row) for row in pp.table]
     return payload
 
 
 def _params_from_wire(payload) -> tcf.TcfPublic:
-    table = np.asarray(payload["table"], dtype=np.int64)
-    if payload["mode"] == "plain":
-        table = table[0]
+    """The dual family a round-params payload describes.  The peer's n sizes
+    the prover's work, so a malformed payload raises ValueError first."""
+    mode, n, m = payload["mode"], int(payload["n"]), int(payload["m"])
+    if mode not in ("disjoint", "lossy") or not 1 <= n <= 18 or m != n + 2:
+        raise ValueError("round-params need a dual family, 1 <= n <= 18, m = n + 2")
+    table = tuple(tuple(row) for row in payload["table"])
+    if len(table) != 2 or any(len(row) != 1 << n or any(type(v) is not int for v in row)
+                              for row in table):
+        raise ValueError("round-params table must be two rows of 2^n ints")
     return tcf.TcfPublic(
-        n=int(payload["n"]),
-        m=int(payload["m"]),
-        mode=payload["mode"],
+        n=n,
+        m=m,
+        mode=mode,
         k=int(payload["k"]),
         perm_seed=int(payload["perm_seed"]),
         table=table,

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import gf2, qsim, tcf
 
 
@@ -179,8 +177,8 @@ def two_round_receiver(pp, rng):
     x = tuple(int(t) for t in rng.integers(0, 2, n))
     y = tcf.eval(pp, b_in, x)
     y_int = gf2.bits_to_int(y)
-    rows, cols = np.nonzero(pp.table == y_int)
-    pre = list(zip(rows.tolist(), cols.tolist()))
+    pre = [(b, xi) for b, row in enumerate(pp.table)
+           for xi, v in enumerate(row) if v == y_int]
     if len(pre) == 2:
         (b0, x0), (b1, x1) = pre
         joint = qsim.TwoBranchState(
@@ -354,12 +352,16 @@ def amplified_two_round_osp(b: int, lam: int, rng, n: int = 2, k: int = 1,
 # ------------------------------------------------------------ OSP sources
 
 
+# H^b|s> keyed by (b == 0, s): the only four states the stub hands out.
+_STUB_STATES = {(b0, s): qsim.basis_descriptor((s,)) if b0
+                else qsim.plane_descriptor(-1 if s else 1)
+                for b0 in (True, False) for s in (0, 1)}
+
+
 def ideal_stub_source(b: int, rng):
     """Hand the receiver H^b|s> directly; isolates downstream logic."""
     s = int(rng.integers(0, 2))
-    if b == 0:
-        return s, qsim.basis_descriptor((s,))
-    return s, qsim.plane_descriptor(-1 if s else 1)
+    return s, _STUB_STATES[b == 0, s]
 
 
 def tcf_two_round_source(n: int = 3):

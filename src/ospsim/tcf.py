@@ -15,6 +15,10 @@ function table; decoding without the secret is easy by design.  What the
 toy families provide is the exact combinatorial structure the protocols
 need: balanced claws, a claw fraction of exactly delta, and a branch parity
 decodable from the trapdoor.
+
+Tables are tuples of int rows read as table[b][x] (the plain family has one
+row); numpy serves only the PCG64 streams.  decode(sp, y) = pi^-1(y) is the
+one trapdoor lookup, and the three inverters read their answers off it.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ class TcfPublic:
     mode: str  # plain | disjoint | lossy
     k: int
     perm_seed: int
-    table: np.ndarray = field(repr=False, compare=False)
+    table: tuple = field(repr=False, compare=False)  # int rows, table[b][x]
 
     def serialize(self) -> dict:
         return {
@@ -51,34 +55,14 @@ class TcfPublic:
 @dataclass(frozen=True)
 class TcfSecret:
     shift: tuple
-    prefix_set: frozenset
-    perm_inverse: np.ndarray = field(repr=False, compare=False)
+    prefix_set: frozenset  # k-bit ints
+    perm_inverse: tuple = field(repr=False, compare=False)
     delta_param: Fraction = Fraction(1)
     public: TcfPublic = field(repr=False, compare=False, default=None)
 
-    def serialize(self) -> dict:
-        return {
-            "shift": gf2.bits_to_text(self.shift),
-            "prefix_set": sorted(gf2.bits_to_text(p) for p in self.prefix_set),
-            "perm_inverse": [int(v) for v in self.perm_inverse],
-            "delta_param": "%d/%d" % (
-                self.delta_param.numerator,
-                self.delta_param.denominator,
-            ),
-        }
 
-
-@dataclass(frozen=True)
-class DecodeQuery:
-    variant: str  # ClawInvert | PartialInvert | PhaseInvert
-    y: tuple
-    d: tuple | None = None
-
-
-def _permutation(perm_seed: int, m: int) -> np.ndarray:
+def _permutation(perm_seed: int, m: int) -> list:
     """Explicit Fisher-Yates table over 2^m entries from a dedicated stream."""
-    if m > 20:
-        raise ValueError("permutation table limited to m <= 20")
     stream = np.random.Generator(np.random.PCG64(perm_seed))
     size = 1 << m
     # One draw per swap, in loop order; an array of bounds consumes the
@@ -87,7 +71,7 @@ def _permutation(perm_seed: int, m: int) -> np.ndarray:
     table = list(range(size))
     for i, j in zip(range(size - 1, 0, -1), swaps):
         table[i], table[j] = table[j], table[i]
-    return np.array(table, dtype=np.int64)
+    return table
 
 
 def gen(family: str, mu: int, n: int, k: int, delta, seed: int):
@@ -112,64 +96,46 @@ def gen(family: str, mu: int, n: int, k: int, delta, seed: int):
     if family == "plain":
         if k != 0 or delta != 1:
             raise ValueError("plain family supports only k=0, delta=1")
-        m = n
+        mode, m = "plain", n
         shift_int = int(rng.integers(1, 1 << n))
+        prefix_set = frozenset({0})
         perm = _permutation(perm_seed, m)
-        xs = np.arange(1 << n, dtype=np.int64)
-        folded = np.minimum(xs, xs ^ shift_int)
-        table = perm[folded]
-        pp = TcfPublic(n=n, m=m, mode="plain", k=0, perm_seed=perm_seed, table=table)
-        sp = TcfSecret(
-            shift=gf2.int_to_bits(shift_int, n),
-            prefix_set=frozenset({()}),
-            perm_inverse=_invert_perm(perm),
-            delta_param=Fraction(1),
-            public=pp,
+        table = (tuple(perm[min(x, x ^ shift_int)] for x in range(1 << n)),)
+    elif family == "dual":
+        if k >= n and mu:
+            raise ValueError("lossy mode needs at least one non-prefix bit")
+        mode, m = ("lossy" if mu else "disjoint"), n + 2
+        # Shift is zero on the k prefix bits (the high ones) and, in lossy
+        # mode, nonzero on the rest.
+        shift_int = int(rng.integers(1 if mu else 0, 1 << (n - k)))
+        prefix_set = frozenset(int(p) for p in rng.permutation(1 << k)[:int(scaled)])
+        perm = _permutation(perm_seed, m)
+        # Row b holds F(b, x): in lossy mode the shared claw image
+        # x xor b*shift when x's prefix lies in S, else the tagged 1||x||b.
+        table = tuple(
+            tuple(
+                perm[x ^ (b * shift_int)]
+                if mode == "lossy" and x >> (n - k) in prefix_set
+                else perm[(1 << (n + 1)) | (x << 1) | b]
+                for x in range(1 << n)
+            )
+            for b in (0, 1)
         )
-        return pp, sp
-
-    if family != "dual":
+    else:
         raise ValueError("family must be 'plain' or 'dual'")
-    if k >= n and mu:
-        raise ValueError("lossy mode needs at least one non-prefix bit")
-    m = n + 2
-    mode = "lossy" if mu else "disjoint"
-    # Shift is zero on the k prefix bits and nonzero on the rest.
-    suffix = int(rng.integers(1, 1 << (n - k))) if mu else int(rng.integers(0, 1 << (n - k)))
-    shift_int = suffix  # prefix bits are the high bits; suffix occupies the low ones
-    prefixes = rng.permutation(1 << k)[:int(scaled)]
-    prefix_set = frozenset(gf2.int_to_bits(int(p), k) for p in prefixes)
-    perm = _permutation(perm_seed, m)
 
-    xs = np.arange(1 << n, dtype=np.int64)
-    branch = np.array([[0], [1]], dtype=np.int64)
-    # Row b holds F(b, x): the tagged image 1||x||b, or in lossy mode the
-    # shared claw image x xor b*shift when x's prefix lies in S.
-    table = perm[(1 << (n + 1)) | (xs << 1) | branch]
-    if mode == "lossy":
-        if k == 0:
-            in_s = np.full(1 << n, bool(prefix_set))
-        else:
-            shifted = xs >> (n - k)
-            in_s = np.zeros(1 << n, dtype=bool)
-            for p in prefix_set:
-                in_s |= shifted == gf2.bits_to_int(p)
-        table = np.where(in_s, perm[xs ^ (shift_int * branch)], table)
+    perm_inverse = [0] * len(perm)
+    for w, y in enumerate(perm):
+        perm_inverse[y] = w
     pp = TcfPublic(n=n, m=m, mode=mode, k=k, perm_seed=perm_seed, table=table)
     sp = TcfSecret(
         shift=gf2.int_to_bits(shift_int, n),
         prefix_set=prefix_set,
-        perm_inverse=_invert_perm(perm),
+        perm_inverse=tuple(perm_inverse),
         delta_param=delta,
         public=pp,
     )
     return pp, sp
-
-
-def _invert_perm(perm: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm), dtype=perm.dtype)
-    return inv
 
 
 def eval(pp: TcfPublic, b: int, x) -> tuple:
@@ -177,69 +143,56 @@ def eval(pp: TcfPublic, b: int, x) -> tuple:
     x = tuple(int(v) for v in x)
     if len(x) != pp.n:
         raise ValueError("input must have %d bits" % pp.n)
-    xi = gf2.bits_to_int(x)
-    if pp.mode == "plain":
-        y = int(pp.table[xi])
-    else:
-        y = int(pp.table[int(b) & 1][xi])
-    return gf2.int_to_bits(y, pp.m)
+    row = pp.table[0] if pp.mode == "plain" else pp.table[int(b) & 1]
+    return gf2.int_to_bits(row[gf2.bits_to_int(x)], pp.m)
 
 
-def _prefix_in_set(sp: TcfSecret, x_int: int) -> bool:
+def decode(sp: TcfSecret, y) -> int:
+    """The trapdoor lookup: the point w = pi^-1(y) behind an m-bit image."""
+    y = tuple(int(v) for v in y)
+    if len(y) != sp.public.m:
+        raise ValueError("y must have %d bits" % sp.public.m)
+    return sp.perm_inverse[gf2.bits_to_int(y)]
+
+
+def _on_claw(sp: TcfSecret, w: int) -> bool:
+    """Whether decoded point w sits on a claw: the smaller point of a plain
+    fold pair, or a lossy branch-0 input whose prefix lies in S."""
     pp = sp.public
-    prefix = gf2.int_to_bits(x_int >> (pp.n - pp.k), pp.k) if pp.k else ()
-    return prefix in sp.prefix_set
-
-
-def decode(sp: TcfSecret, query: DecodeQuery):
-    """Trapdoor decode. Returns the variant's value, or None for bottom."""
-    pp = sp.public
-    y = tuple(int(v) for v in query.y)
-    if len(y) != pp.m:
-        raise ValueError("y must have %d bits" % pp.m)
-    w = int(sp.perm_inverse[gf2.bits_to_int(y)])
-    shift_int = gf2.bits_to_int(sp.shift)
-
-    if query.variant == "ClawInvert":
-        if pp.mode == "plain":
-            if w < (w ^ shift_int):
-                return (gf2.int_to_bits(w, pp.n), gf2.int_to_bits(w ^ shift_int, pp.n))
-            return None
-        if pp.mode == "lossy" and w < (1 << pp.n) and _prefix_in_set(sp, w):
-            return (gf2.int_to_bits(w, pp.n), gf2.int_to_bits(w ^ shift_int, pp.n))
-        return None
-
     if pp.mode == "plain":
-        raise ValueError("%s is undefined for the plain family" % query.variant)
+        return w < w ^ gf2.bits_to_int(sp.shift)
+    return (pp.mode == "lossy" and w < (1 << pp.n)
+            and w >> (pp.n - pp.k) in sp.prefix_set)
 
-    if query.variant == "PartialInvert":
-        out = set()
-        if w >= (1 << (pp.n + 1)):  # branch-tagged image 1||x||b
-            out.add(w & 1)
-        elif pp.mode == "lossy" and w < (1 << pp.n) and _prefix_in_set(sp, w):
-            out = {0, 1}
-        return frozenset(out)
 
-    if query.variant == "PhaseInvert":
-        if query.d is None or len(query.d) != pp.n:
-            raise ValueError("PhaseInvert needs an n-bit d")
-        if pp.mode == "lossy" and w < (1 << pp.n) and _prefix_in_set(sp, w):
-            return gf2.dot(tuple(query.d), sp.shift)
+def claw_invert(sp: TcfSecret, y):
+    """The claw (x, x xor shift) behind y, or None when y has no claw."""
+    w = decode(sp, y)
+    if not _on_claw(sp, w):
         return None
-
-    raise ValueError("unknown decode variant %r" % query.variant)
-
-
-def claw_invert(sp, y):
-    return decode(sp, DecodeQuery("ClawInvert", tuple(y)))
+    n = sp.public.n
+    return gf2.int_to_bits(w, n), gf2.int_to_bits(w ^ gf2.bits_to_int(sp.shift), n)
 
 
-def partial_invert(sp, y):
-    return decode(sp, DecodeQuery("PartialInvert", tuple(y)))
+def partial_invert(sp: TcfSecret, y) -> frozenset:
+    """The branch bits of y's preimages (dual family only)."""
+    w = decode(sp, y)
+    if sp.public.mode == "plain":
+        raise ValueError("partial_invert is undefined for the plain family")
+    if w >= 1 << (sp.public.n + 1):  # branch-tagged image 1||x||b
+        return frozenset({w & 1})
+    return frozenset({0, 1}) if _on_claw(sp, w) else frozenset()
 
 
-def phase_invert(sp, y, d):
-    return decode(sp, DecodeQuery("PhaseInvert", tuple(y), tuple(d)))
+def phase_invert(sp: TcfSecret, y, d):
+    """The phase bit d.shift of y's claw, or None (dual family only)."""
+    w = decode(sp, y)
+    if sp.public.mode == "plain":
+        raise ValueError("phase_invert is undefined for the plain family")
+    d = tuple(d)
+    if len(d) != sp.public.n:
+        raise ValueError("phase_invert needs an n-bit d")
+    return gf2.dot(d, sp.shift) if _on_claw(sp, w) else None
 
 
 def superposition_descriptor(pp: TcfPublic, with_bit_register: bool = False):
@@ -260,15 +213,10 @@ def claw_oracle(pp: TcfPublic) -> dict:
     if pp.n > 12:
         raise ValueError("claw_oracle limited to n <= 12")
     out: dict = {}
-    if pp.mode == "plain":
-        for xi in range(1 << pp.n):
-            y = int(pp.table[xi])
-            out.setdefault(y, []).append(gf2.int_to_bits(xi, pp.n))
-    else:
-        for b in (0, 1):
-            for xi in range(1 << pp.n):
-                y = int(pp.table[b][xi])
-                out.setdefault(y, []).append((b, gf2.int_to_bits(xi, pp.n)))
+    for b, row in enumerate(pp.table):
+        for xi, y in enumerate(row):
+            x = gf2.int_to_bits(xi, pp.n)
+            out.setdefault(y, []).append(x if pp.mode == "plain" else (b, x))
     return {y: tuple(v) for y, v in out.items()}
 
 
@@ -293,17 +241,11 @@ def plain_view_eval(pp: TcfPublic, u) -> tuple:
 def plain_view_claw_invert(sp: TcfSecret, y):
     """Claw of y in the plain view, ordered with the lower branch first."""
     claw = claw_invert(sp, y)
-    if claw is None:
-        return None
+    if claw is None or sp.public.mode == "plain":
+        return claw
     x0, x1 = claw
-    if sp.public.mode == "plain":
-        return (x0, x1)
     return ((0,) + x0, (1,) + x1)
 
 
 def plain_view_delta(sp: TcfSecret) -> Fraction:
-    if sp.public.mode == "plain":
-        return Fraction(1)
-    if sp.public.mode == "disjoint":
-        return Fraction(0)
-    return sp.delta_param
+    return Fraction(0) if sp.public.mode == "disjoint" else sp.delta_param

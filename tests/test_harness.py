@@ -378,11 +378,31 @@ def _serve_against(protocol, config, turn, seed=5):
     return _against_peer(protocol, "server", data, config, seed)
 
 
+def _round_params(**change):
+    """A well-formed n = 3 round-params payload with some fields replaced."""
+    payload = {"round": 0, "n": 3, "m": 5, "mode": "disjoint", "k": 0,
+               "perm_seed": 1, "table": [list(range(8)), list(range(8, 16))]}
+    payload.update(change)
+    return payload
+
+
+_REJECTED = "round-params message rejected: ValueError"
+
+
 @pytest.mark.parametrize("kind,payload,detail", [
     ("bogus", {}, "unexpected message kind 'bogus'"),    # unknown kind
     ("challenge", {}, "KeyError"),                       # missing key
     ("round-params", [1, 2], "TypeError"),               # payload not a dict
-], ids=["unknown-kind", "missing-key", "payload-not-a-dict"])
+    ("round-params", _round_params(n=64, m=66), _REJECTED),
+    ("round-params",
+     _round_params(table=[[0.5] + list(range(1, 8)), list(range(8, 16))]),
+     _REJECTED),
+    ("round-params",
+     _round_params(table=[list(range(7)), list(range(8, 16))]), _REJECTED),
+    ("round-params",
+     _round_params(mode="plain", m=3, table=[list(range(8))]), _REJECTED),
+], ids=["unknown-kind", "missing-key", "payload-not-a-dict", "n-64",
+        "non-integer-entry", "short-row", "plain-mode"])
 def test_party_fault_ends_the_session_with_error(kind, payload, detail):
     sid = harness.session_id("poq", 5)
     msg = harness.Message(sid, 0, "client", kind, payload)

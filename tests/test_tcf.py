@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -264,15 +266,10 @@ def test_plain_view_of_dual_family():
 
 
 def test_serialization_schema():
-    pp, sp = tcf.gen("dual", 1, 4, 1, Fraction(1, 2), 67)
+    pp, _ = tcf.gen("dual", 1, 4, 1, Fraction(1, 2), 67)
     pub = pp.serialize()
     assert set(pub) == {"n", "m", "mode", "k", "perm_seed"}
     assert pub["mode"] == "lossy" and pub["m"] == 6
-    sec = sp.serialize()
-    assert set(sec) == {"shift", "prefix_set", "perm_inverse", "delta_param"}
-    assert set(sec["shift"]) <= {"0", "1"} and len(sec["shift"]) == 4
-    assert sec["delta_param"] == "1/2"
-    assert len(sec["perm_inverse"]) == 64
 
 
 def test_gen_is_deterministic():
@@ -281,3 +278,55 @@ def test_gen_is_deterministic():
     assert a_pp.serialize() == b_pp.serialize()
     assert a_sp.shift == b_sp.shift and a_sp.prefix_set == b_sp.prefix_set
     assert np.array_equal(a_pp.table, b_pp.table)
+
+
+# ------------------------------------------------------------ pinned outputs
+
+TCF_PINNED = {
+    "disjoint": "354f767786bc9f57cae70f719fd7a612a38e0163c34df2c48abbc46e28eeddce",
+    "lossy": "797c7854ea8d27151495a4db6ca69b66de03f9db745bf6d4e2c4c8378aa78b74",
+    "plain": "c44d4c48d04fcfd5086d053a01bd4c7c8ccf3e96ab57c048ac4c57d812bb600b",
+}
+
+
+def _pinned_configs(kind):
+    """(family, mu, n, k, delta) for every seeded family a digest covers."""
+    for n in range(1, 7):
+        if kind == "plain":
+            yield "plain", 0, n, 0, 1
+            continue
+        for k in (0, 1, 2):
+            for delta in (1, Fraction(1, 2), Fraction(1, 4)):
+                if k < n and (delta * (1 << k)).denominator == 1:
+                    yield "dual", int(kind == "lossy"), n, k, delta
+
+
+def _public_digest(kind) -> str:
+    """sha256 over the public outputs of seeded families of one kind:
+    eval at every (b, x), claw_invert and partial_invert at every y < 2^m,
+    and phase_invert at every y with a seeded d.  Reads nothing of how a
+    family stores its tables or its trapdoor."""
+    digest = hashlib.sha256()
+    for family, mu, n, k, delta in _pinned_configs(kind):
+        for seed in (0, 1, 2):
+            pp, sp = tcf.gen(family, mu, n, k, delta, 1000 * n + seed)
+            digest.update(repr((pp.serialize(), sp.shift)).encode())
+            for b in (0, 1):
+                for xi in range(1 << n):
+                    digest.update(repr(tcf.eval(pp, b, gf2.int_to_bits(xi, n)))
+                                  .encode())
+            rng = np.random.default_rng(seed)
+            for yi in range(1 << pp.m):
+                y = gf2.int_to_bits(yi, pp.m)
+                out = [tcf.claw_invert(sp, y)]
+                if family == "dual":
+                    d = tuple(int(t) for t in rng.integers(0, 2, n))
+                    out += [sorted(tcf.partial_invert(sp, y)),
+                            tcf.phase_invert(sp, y, d)]
+                digest.update(repr(out).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(TCF_PINNED))
+def test_seeded_families_match_the_pinned_digest(kind):
+    assert _public_digest(kind) == TCF_PINNED[kind]
