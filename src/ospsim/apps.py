@@ -767,6 +767,8 @@ class PoqVerifierParty:
             d = gf2.text_to_bits(msg["payload"]["d"])
             cur = self.current
             cur["s"] = osp.two_round_decode(cur["sp"], cur["r"], y, d)
+            if cur["s"] is None:  # honest images always decode
+                raise ValueError("y is not an image of the round's family")
             cur["a"] = int(self.rng.integers(0, 2))
             return [{"kind": "challenge",
                      "payload": {"round": self.index, "a": cur["a"]}}]
@@ -827,8 +829,8 @@ class PkeKeys:
     secret: gadgets.EcnotClient
 
 
-def pke_keygen(rng, source=None) -> PkeKeys:
-    client, helpers = gadgets.ecnot_gen(1, rng, source)
+def pke_keygen(rng) -> PkeKeys:
+    client, helpers = gadgets.ecnot_gen(1, rng)
     pk = {"helpers": [descriptor_to_json(h) for h in helpers]}
     return PkeKeys(pk, client)
 
@@ -858,8 +860,8 @@ def pke_decrypt(keys: PkeKeys, ct: dict) -> int:
     return ct["masked"] ^ (x0 if ct["branch"] == 0 else x0 ^ 1)
 
 
-def pke_roundtrip(message: int, rng, source=None) -> dict:
-    keys = pke_keygen(rng, source)
+def pke_roundtrip(message: int, rng) -> dict:
+    keys = pke_keygen(rng)
     ct = pke_encrypt(keys.public, message, rng)
     decrypted = pke_decrypt(keys, ct)
     return {"keys": keys, "ct": ct, "message": message, "decrypted": decrypted}

@@ -339,7 +339,7 @@ def _collection_circuit(lam: int, kind: str):
     return delegation.Circuit(xw + 1, tuple(gates)), (e,), 2 * lam + 1
 
 
-def _delegated_answers(ham, question, state, rng, source):
+def _delegated_answers(ham, question, state, rng):
     lam = ham.num_qubits
     circuit, answer_wires, input_width = _collection_circuit(
         lam, question.kind)
@@ -354,7 +354,7 @@ def _delegated_answers(ham, question, state, rng, source):
     register = state
     if question.kind != "teleport":
         register = register.tensor(qsim.DenseState.from_bits((0, 0)))
-    result = delegation.delegate_on_state(circuit, register, bits, rng, source)
+    result = delegation.delegate_on_state(circuit, register, bits, rng)
     if any(result.frame.r[i] or result.frame.s[i] for i in range(lam)):
         raise RuntimeError("helper wires picked up pad keys")
     s_a = delegation.classical_output_round(result, rng, wires=answer_wires)
@@ -364,7 +364,7 @@ def _delegated_answers(ham, question, state, rng, source):
 
 
 def honest_round(ham: Hamiltonian, params: GameParams, rng, delegated=False,
-                 source=None, prepare=None, base=None):
+                 prepare=None, base=None):
     """Play one round honestly; returns (question, answers, accept).
 
     base short-circuits state preparation so a caller looping over many
@@ -373,7 +373,7 @@ def honest_round(ham: Hamiltonian, params: GameParams, rng, delegated=False,
     question = sample_question(ham, params, rng)
     state = base if base is not None else prepared_state(ham, prepare)
     if delegated:
-        answers = _delegated_answers(ham, question, state, rng, source)
+        answers = _delegated_answers(ham, question, state, rng)
     else:
         answers = _direct_answers(ham, question, state, rng)
     return question, answers, verify(question, answers, ham, rng)
@@ -391,7 +391,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 
 def estimate_value(ham: Hamiltonian, params: GameParams, rounds: int, rng,
-                   delegated=False, source=None, prepare=None) -> dict:
+                   delegated=False, prepare=None) -> dict:
     """Monte-Carlo acceptance estimate with a 95 percent Wilson interval."""
     if rounds < 1:
         raise ValueError("need at least one round")
@@ -399,7 +399,7 @@ def estimate_value(ham: Hamiltonian, params: GameParams, rounds: int, rng,
     accepted = 0
     for _ in range(rounds):
         _, _, ok = honest_round(ham, params, rng, delegated=delegated,
-                                source=source, base=base)
+                                base=base)
         accepted += int(ok)
     low, high = wilson_interval(accepted, rounds)
     return {"rounds": rounds, "accepted": accepted,

@@ -57,26 +57,28 @@ def _msg(transcript, role, kind, **payload):
 def csg_from_tcf(pp, sp, rng, lam: int = 8) -> CsgOutcome:
     """Claw-state generation by repeated evaluate-and-measure.
 
-    Works for any 2-to-1-or-injective view of the toy families: the plain
-    family directly, or the dual lossy family read over n+1 input bits.
-    Retries until an image with a claw appears, at most ceil(lam/delta)
-    times; an exhausted loop yields an aborted outcome with uniformly
-    random placeholder strings.
+    Works for the plain family over its n input bits, and for the dual
+    lossy family over n+1 input bits: the branch bit followed by x, so a
+    dual claw reads ((0,) + x0, (1,) + x1).  Retries until an image with
+    a claw appears, at most ceil(lam/delta) times; an exhausted loop
+    yields an aborted outcome with uniformly random placeholder strings.
     """
-    width = tcf.plain_view_width(pp)
-    delta = tcf.plain_view_delta(sp)
-    if delta == 0:
+    if pp.mode == "disjoint":
         raise ValueError("family has no claws (disjoint mode)")
-    rounds = math.ceil(Fraction(lam) / delta)
+    dual = pp.mode != "plain"
+    width = pp.n + dual
+    rounds = math.ceil(Fraction(lam) / sp.delta_param)
     transcript = []
     _msg(transcript, "sender", "family-params", **pp.serialize())
     for _ in range(rounds):
         u = tuple(int(t) for t in rng.integers(0, 2, width))
-        y = tcf.plain_view_eval(pp, u)
+        y = tcf.eval(pp, u[0], u[1:]) if dual else tcf.eval(pp, 0, u)
         _msg(transcript, "receiver", "image", y=gf2.bits_to_text(y))
-        claw = tcf.plain_view_claw_invert(sp, y)
+        claw = tcf.claw_invert(sp, y)
         if claw is not None:
             x0, x1 = claw
+            if dual:
+                x0, x1 = (0,) + x0, (1,) + x1
             _msg(transcript, "sender", "verdict", accept=True)
             state = qsim.TwoBranchState(width, x0, x1, 1)
             return CsgOutcome(x0, x1, 0, state, transcript)
@@ -328,25 +330,20 @@ def amplified_two_round_osp(b: int, lam: int, rng, n: int = 2, k: int = 1,
         d=gf2.bits_to_text(d_full),
     )
 
+    bits = [two_round_decode(sps[i], b, rec["ys"][i], ds[i]) for i in range(ell)]
     if b == 0:
+        if None in bits:
+            return OspOutcome(b, None, residual, transcript, aborted=True)
         s = 0
-        for i in range(ell):
-            branches = tcf.partial_invert(sps[i], rec["ys"][i])
-            if len(branches) != 1:
-                return OspOutcome(b, None, residual, transcript, aborted=True)
-            (bit,) = branches
+        for bit in bits:
             s ^= bit
         return OspOutcome(b, s, residual, transcript)
-
-    claw_indices = [
-        i for i in range(ell) if tcf.claw_invert(sps[i], rec["ys"][i]) is not None
-    ]
-    if not claw_indices:
-        return OspOutcome(b, None, residual, transcript, aborted=True)
-    i = claw_indices[0]  # smallest index: deterministic tie-break
-    x_i0, x_i1 = tcf.claw_invert(sps[i], rec["ys"][i])
-    s = gf2.dot(ds[i], gf2.xor_vec(x_i0, x_i1)) ^ es[i]
-    return OspOutcome(b, s, residual, transcript)
+    # The first clawed instance (smallest index) decodes s: its phase bit
+    # d_i.shift_i XOR the Hadamard outcome e_i on its chain bit r_i.
+    for bit, e in zip(bits, es):
+        if bit is not None:
+            return OspOutcome(b, bit ^ e, residual, transcript)
+    return OspOutcome(b, None, residual, transcript, aborted=True)
 
 
 # ------------------------------------------------------------ OSP sources

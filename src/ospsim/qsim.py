@@ -181,10 +181,6 @@ class DenseState:
     def apply(self, gate, *qubits) -> "DenseState":
         return apply_gate(self, gate, qubits)
 
-    def probability(self, bits) -> float:
-        bits = _check_bits(bits, self.num_qubits)
-        return float(abs(self.amplitudes[gf2.bits_to_int(bits)]) ** 2)
-
     def __repr__(self):
         return "DenseState(%d qubits)" % self.num_qubits
 
@@ -385,16 +381,6 @@ class AffineBranchState:
             for bits in self.branch_support(branch):
                 vec[(branch << self.width) | gf2.bits_to_int(bits)] += amp
         return DenseState(vec)
-
-
-@dataclass(frozen=True)
-class UniformRegister:
-    """Uniform superposition over all bit strings of the given width."""
-
-    width: int
-
-    def densify(self) -> DenseState:
-        return DenseState.uniform(self.width)
 
 
 def densify(state) -> DenseState:

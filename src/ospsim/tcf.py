@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import gf2, qsim
+from . import gf2
 
 
 @dataclass(frozen=True)
@@ -195,15 +195,6 @@ def phase_invert(sp: TcfSecret, y, d):
     return gf2.dot(d, sp.shift) if _on_claw(sp, w) else None
 
 
-def superposition_descriptor(pp: TcfPublic, with_bit_register: bool = False):
-    """Descriptor of the uniform input superposition over the family domain."""
-    if with_bit_register:
-        basis = [gf2.int_to_bits(1 << (pp.n - 1 - i), pp.n) for i in range(pp.n)]
-        zero = (0,) * pp.n
-        return qsim.AffineBranchState(pp.n, tuple(basis), zero, zero)
-    return qsim.UniformRegister(pp.n)
-
-
 def claw_oracle(pp: TcfPublic) -> dict:
     """Brute-force map from image int to the tuple of its preimages.
 
@@ -218,34 +209,3 @@ def claw_oracle(pp: TcfPublic) -> dict:
             x = gf2.int_to_bits(xi, pp.n)
             out.setdefault(y, []).append(x if pp.mode == "plain" else (b, x))
     return {y: tuple(v) for y, v in out.items()}
-
-
-# Uniform "plain view" used by the claw-state generator: the plain family is
-# itself, the dual lossy family is read as a 2-to-1-or-1-to-1 function over
-# n+1 input bits (branch bit joined in front of x).
-
-
-def plain_view_width(pp: TcfPublic) -> int:
-    return pp.n if pp.mode == "plain" else pp.n + 1
-
-
-def plain_view_eval(pp: TcfPublic, u) -> tuple:
-    if pp.mode == "plain":
-        return eval(pp, 0, u)
-    u = tuple(int(v) for v in u)
-    if len(u) != pp.n + 1:
-        raise ValueError("plain view input must have %d bits" % (pp.n + 1))
-    return eval(pp, u[0], u[1:])
-
-
-def plain_view_claw_invert(sp: TcfSecret, y):
-    """Claw of y in the plain view, ordered with the lower branch first."""
-    claw = claw_invert(sp, y)
-    if claw is None or sp.public.mode == "plain":
-        return claw
-    x0, x1 = claw
-    return ((0,) + x0, (1,) + x1)
-
-
-def plain_view_delta(sp: TcfSecret) -> Fraction:
-    return Fraction(0) if sp.public.mode == "disjoint" else sp.delta_param

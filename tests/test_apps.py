@@ -405,6 +405,19 @@ def test_poq_session_deterministic_replay():
     assert first.outcome["result"] == second.outcome["result"]
 
 
+def test_poq_verifier_draws_nothing_for_an_image_outside_the_table():
+    rng = rng_for(1)
+    verifier = apps.PoqVerifierParty(1, rng, n=3)
+    (params,) = verifier.on_message(None)
+    table = params["payload"]["table"]
+    y = min(set(range(32)) - set(table[0]) - set(table[1]))
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        verifier.on_message({"kind": "evaluation",
+                             "payload": {"y": format(y, "05b"), "d": "000"}})
+    assert rng.bit_generator.state == before
+
+
 # -------------------------------------------------------------------- PKE
 
 

@@ -413,6 +413,27 @@ def test_party_fault_ends_the_session_with_error(kind, payload, detail):
     assert server.messages == [msg]
 
 
+def test_poq_verifier_rejects_an_image_outside_the_table():
+    """An evaluation whose y is no image of the round's family fails the
+    verifier at once, before it draws a challenge."""
+    config = CONFIGS["poq"]
+    params = harness.run_local("poq", 5, config)["client"].messages[0]
+    assert params.kind == "round-params"
+    table, m = params.payload["table"], params.payload["m"]
+    y = min(set(range(1 << m)) - set(table[0]) - set(table[1]))
+    reply = harness.Message(harness.session_id("poq", 5), 0, "server",
+                            "evaluation",
+                            {"round": 0, "y": format(y, "0%db" % m),
+                             "d": "0" * params.payload["n"]})
+    data = (_peer_hello("poq") + harness.frame_encode(reply)
+            + harness._TURN_END * 2)
+    client = _against_peer("poq", "client", data, config)
+    assert client.outcome["status"] == "error"
+    assert client.outcome["detail"].startswith(
+        "evaluation message rejected: ValueError")
+    assert [m.kind for m in client.messages] == ["round-params", "evaluation"]
+
+
 def _ot_states(*widths):
     return [{"state": {"width": w, "u": "0" * w, "v": "0" * w, "phase": 0}}
             for w in widths]

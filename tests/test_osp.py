@@ -1,6 +1,7 @@
 """Tests for claw-state generation and the four preparation routes."""
 
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ospsim import gf2, osp, qsim, tcf
+from ospsim import apps, gf2, osp, qsim, tcf
 
 
 def rng_for(seed):
@@ -53,7 +54,7 @@ def test_csg_lossy_family_plain_view():
     assert not out.aborted
     assert len(out.x0) == 4 and len(out.x1) == 4
     assert out.x0[0] == 0 and out.x1[0] == 1
-    assert tcf.plain_view_eval(pp, out.x0) == tcf.plain_view_eval(pp, out.x1)
+    assert tcf.eval(pp, 0, out.x0[1:]) == tcf.eval(pp, 1, out.x1[1:])
     assert qsim.projection_norm(out, "CSG") == pytest.approx(1.0, abs=1e-9)
 
 
@@ -493,3 +494,49 @@ def test_epsilon_pipeline_with_protocol_source():
                 continue
             assert qsim.projection_norm(out, "OSP") == pytest.approx(1.0, abs=1e-9)
             done += 1
+
+
+# ------------------------------------------------------------- pinned stream
+
+
+OSP_PINNED = "0b0d3c997648063b311d15c81bb559f7b6c1ece7f4d175d89ab340fd405fbed7"
+
+
+def _osp_digest() -> str:
+    """sha256 over seeded runs of the multi-round and amplified paths:
+    claw generation on the plain family at n = 1..5 and on a lossy family
+    (aborts included), differentiate plus osp_from_csg, and amplified
+    two-round runs at two claw densities.  Each run adds its b, s, claw,
+    abort flag, receiver descriptor and transcript."""
+    digest = hashlib.sha256()
+
+    def add(out, b, s, x0, x1, z):
+        state = out.receiver_state
+        digest.update(repr((
+            b, s, x0, x1, z, out.aborted,
+            None if state is None else apps.descriptor_to_json(state),
+            out.transcript)).encode())
+
+    rng = rng_for(81)
+    families = [tcf.gen("plain", 0, n, 0, 1, 100 + n) for n in range(1, 6)]
+    families.append(tcf.gen("dual", 1, 3, 1, Fraction(1, 2), 106))
+    for pp, sp in families:
+        for i in range(40):
+            csg = osp.csg_from_tcf(pp, sp, rng, lam=2)
+            add(csg, None, None, csg.x0, csg.x1, csg.z)
+            if csg.aborted:
+                continue
+            claw = osp.differentiate(csg, rng)
+            out = osp.osp_from_csg(claw, (None, 0, 1)[i % 3], rng)
+            add(out, out.b, out.s, claw.x0, claw.x1, claw.z)
+    for lam, n, k, delta in ((1, 2, 1, Fraction(1, 2)), (2, 2, 1, Fraction(1, 2)),
+                             (3, 2, 1, Fraction(1, 2)), (1, 3, 2, Fraction(1, 4))):
+        for b in (0, 1):
+            for _ in range(30):
+                out = osp.amplified_two_round_osp(b, lam, rng, n, k, delta)
+                add(out, out.b, out.s, None, None, None)
+    return digest.hexdigest()
+
+
+def test_preparation_paths_match_the_pinned_digest():
+    assert _osp_digest() == OSP_PINNED

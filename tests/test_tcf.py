@@ -192,27 +192,12 @@ def test_claw_invert_agrees_with_oracle():
 # ---------------------------------------------------------- superpositions
 
 
-def test_uniform_descriptor():
-    pp, _ = tcf.gen("dual", 1, 2, 0, 1, 43)
-    desc = tcf.superposition_descriptor(pp)
-    dense = qsim.densify(desc)
-    assert np.allclose(np.abs(dense.amplitudes), 0.5)
-
-
-def test_descriptor_with_bit_register():
-    pp, _ = tcf.gen("dual", 1, 1, 0, 1, 47)
-    desc = tcf.superposition_descriptor(pp, with_bit_register=True)
-    dense = qsim.densify(desc)
-    assert dense.num_qubits == 2
-    assert np.allclose(np.abs(dense.amplitudes), 0.5)
-
-
 def test_post_measurement_claw_state_dense_oracle():
     # Evaluate F(B, X) in superposition, measure y, and check the remaining
     # (B, X) register is the claw pair state.
     pp, sp = tcf.gen("dual", 1, 3, 0, 1, 53)
     rng = np.random.default_rng(99)
-    reg = qsim.densify(tcf.superposition_descriptor(pp, with_bit_register=True))
+    reg = qsim.DenseState.uniform(pp.n + 1)
     total = qsim.apply_bit_function(
         reg,
         tuple(range(4)),
@@ -243,23 +228,6 @@ def test_claw_oracle_size_limit():
     pp, _ = tcf.gen("dual", 0, 13, 0, 1, 0)
     with pytest.raises(ValueError):
         tcf.claw_oracle(pp)
-
-
-# ------------------------------------------------------------- plain view
-
-
-def test_plain_view_of_dual_family():
-    pp, sp = tcf.gen("dual", 1, 4, 1, Fraction(1, 2), 61)
-    assert tcf.plain_view_width(pp) == 5
-    u = (1, 0, 1, 1, 0)
-    assert tcf.plain_view_eval(pp, u) == tcf.eval(pp, 1, (0, 1, 1, 0))
-    y = tcf.eval(pp, 0, (0, 0, 1, 1))
-    claw = tcf.plain_view_claw_invert(sp, y)
-    if claw is not None:
-        u0, u1 = claw
-        assert u0[0] == 0 and u1[0] == 1
-        assert tcf.plain_view_eval(pp, u0) == tcf.plain_view_eval(pp, u1)
-    assert tcf.plain_view_delta(sp) == Fraction(1, 2)
 
 
 # ----------------------------------------------------------- serialization
