@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,15 +58,15 @@ class Hamiltonian:
             raise ValueError("weights must sum to one, got %r" % total)
         object.__setattr__(self, "terms", tuple(checked))
 
-    @property
+    @cached_property
     def x_terms(self):
         return tuple(t for t in self.terms if t[0] == "X")
 
-    @property
+    @cached_property
     def z_terms(self):
         return tuple(t for t in self.terms if t[0] == "Z")
 
-    @property
+    @cached_property
     def x_weight(self) -> float:
         return sum(t[3] for t in self.x_terms)
 
@@ -100,6 +100,15 @@ def pauli_string(axis: str, support) -> np.ndarray:
     if axis not in _AXES:
         raise ValueError("axis must be X or Z")
     return _pauli_string_cached(axis, tuple(int(b) for b in support))
+
+
+@lru_cache(maxsize=4096)
+def _chsh_observable(a: tuple, b: tuple, x: int) -> np.ndarray:
+    """(Z_a + X_b)/sqrt(2), or (Z_a - X_b)/sqrt(2) when x is 1; read only."""
+    sign = -1.0 if x else 1.0
+    out = (pauli_string("Z", a) + sign * pauli_string("X", b)) / _SQRT2
+    out.setflags(write=False)
+    return out
 
 
 def _indicator(i: int, j: int, width: int) -> tuple:
@@ -156,12 +165,17 @@ class Question:
     x: int = None
 
 
+@lru_cache(maxsize=256)
+def _pair_law(terms: tuple) -> tuple:
+    """The terms' weights, normalised to sum to one."""
+    weights = np.array([t[3] for t in terms])
+    return tuple((weights / weights.sum()).tolist())
+
+
 def _weighted_pair(terms, rng):
     if len(terms) == 1:
         return terms[0]
-    weights = np.array([t[3] for t in terms])
-    idx = int(rng.choice(len(terms), p=weights / weights.sum()))
-    return terms[idx]
+    return terms[qsim.draw_index(_pair_law(terms), rng)]
 
 
 def sample_question(ham: Hamiltonian, params: GameParams, rng) -> Question:
@@ -180,7 +194,7 @@ def sample_question(ham: Hamiltonian, params: GameParams, rng) -> Question:
         raise ValueError("correlation rounds need at least one X term")
     need = 1 if kind == "chsh" else 0
     for _ in range(REJECTION_LIMIT):
-        a = tuple(int(t) for t in rng.integers(0, 2, ham.num_qubits))
+        a = tuple(rng.integers(0, 2, ham.num_qubits).tolist())
         _, i, j, _ = _weighted_pair(ham.x_terms, rng)
         if (a[i] ^ a[j]) == need:
             break
@@ -250,9 +264,7 @@ def _direct_answers(ham, question, state, rng):
     lam = ham.num_qubits
     alice = list(range(lam, 2 * lam))
     if question.kind == "chsh":
-        sign = -1.0 if question.x else 1.0
-        mat = (pauli_string("Z", question.a)
-               + sign * pauli_string("X", question.b)) / _SQRT2
+        mat = _chsh_observable(question.a, question.b, question.x)
         bit, state = qsim.measure_observable(state, mat, alice, rng)
         s_a = (bit,)
     elif question.kind == "commutation":
@@ -270,8 +282,7 @@ def _direct_answers(ham, question, state, rng):
             state, [2 * lam + i for i in range(lam)], qsim.Basis.Z, rng)
         s_a = tuple(xkeys) + tuple(zkeys)
     basis = qsim.Basis.Z if question.y == 0 else qsim.Basis.X
-    s_b, _ = qsim.measure(state, list(range(lam)), basis, rng)
-    return s_a, tuple(s_b)
+    return s_a, qsim.readout(state, list(range(lam)), basis, rng)
 
 
 # Clifford+T gate strings, applied left to right.  _RY_MINUS is the y-axis
@@ -359,8 +370,8 @@ def _delegated_answers(ham, question, state, rng):
         raise RuntimeError("helper wires picked up pad keys")
     s_a = delegation.classical_output_round(result, rng, wires=answer_wires)
     basis = qsim.Basis.Z if question.y == 0 else qsim.Basis.X
-    s_b, _ = qsim.measure(result.state, list(range(lam)), basis, rng)
-    return tuple(s_a), tuple(s_b)
+    s_b = qsim.readout(result.state, list(range(lam)), basis, rng)
+    return tuple(s_a), s_b
 
 
 def honest_round(ham: Hamiltonian, params: GameParams, rng, delegated=False,
@@ -430,14 +441,3 @@ def physical_rate(params: GameParams) -> float:
     return (0.5 * (1.0 - kappa) * (1.0 + qsim.COS2_PI_8)
             + kappa * teleport_rate(params.alpha))
 
-
-def anticommutator_norm(a, b) -> float:
-    """Spectral norm of {Z-parity(a), X-parity(b)}: 0 when the overlap is
-    odd, 2 when it is even."""
-    a = tuple(int(t) for t in a)
-    b = tuple(int(t) for t in b)
-    if len(a) != len(b):
-        raise ValueError("support vectors must have equal length")
-    za = pauli_string("Z", a)
-    xb = pauli_string("X", b)
-    return float(np.linalg.norm(za @ xb + xb @ za, 2))

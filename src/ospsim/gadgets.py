@@ -10,11 +10,9 @@ circuit leaves on the data is applied as one operator on the data wires
 (a diagonal on the phase target, a 4x4 block on the CNOT pair).  Both
 closed forms are checked against their literal circuits in the tests.
 
-Each uniform readout bit is int(rng.random() >= 0.5).  That is the draw
-rng.choice(2, p=[0.5, 0.5]) makes: it takes one double u and returns the
-number of entries of the cdf [0.5, 1.0] at or below u.  So the bits, and
-the generator's state after them, are the same as with choice, at a
-fraction of its cost.
+Each uniform readout bit is int(rng.random() >= 0.5), the draw of
+qsim.draw_index on p = [1/2, 1/2] written inline (its docstring shows why
+the two agree).
 """
 
 from __future__ import annotations

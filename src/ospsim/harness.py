@@ -363,8 +363,10 @@ def _socket_session(party, conn, protocol, seed, timeout):
 
     Returns (status, detail, messages).  The local party speaks first when
     it is the client; turns then strictly alternate.  Two consecutive
-    empty turns end the session.  A peer message the party cannot handle,
-    whatever the party raises for it, ends the session with status error.
+    empty turns end the session: with status complete when the party has
+    its result, else with status error.  A peer message the party cannot
+    handle, whatever the party raises for it, ends the session with status
+    error.
     """
     session = session_id(protocol, seed)
     seq = _Sequencer(session)
@@ -405,6 +407,8 @@ def _socket_session(party, conn, protocol, seed, timeout):
                 break
             pending = [{"kind": m.kind, "payload": m.payload}
                        for m in received]
+        if party.result is None:
+            return "error", "session ended before the party finished", messages
         return "complete", None, messages
     except socket.timeout:
         return "timeout", "no data within %.3f s" % timeout, messages

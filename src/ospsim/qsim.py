@@ -17,6 +17,10 @@ Conventions
   wires all go through them, and _block rejects negative, out-of-range and
   repeated wires.  The axis permutation for each (register width, wire
   list) is computed and checked once and then cached.
+* There is one outcome sampler, draw_index: it draws the index
+  Generator.choice would draw, from the same one double.  measure and
+  readout share its use on a dense block; measure also collapses the
+  state, readout returns the bits and keeps no post-state.
 * Named gates on a one-qubit descriptor are memoised: there are 18 such
   descriptors, so apply_1q computes each (descriptor, gate name) pair
   through a dense state once.  Explicit matrices are never cached.
@@ -31,6 +35,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -112,12 +117,6 @@ def _basis_rotation(basis) -> np.ndarray:
     rot.flags.writeable = False
     _ROTATION_CACHE[basis] = rot
     return rot
-
-
-def basis_vector(basis, outcome: int) -> np.ndarray:
-    """The eigenvector of the given basis labelled by outcome bit."""
-    rot = _basis_rotation(basis)
-    return rot.conj().T[:, outcome].copy()
 
 
 def phase_index(value: complex) -> int:
@@ -251,24 +250,58 @@ def _rotate_rows(block: np.ndarray, rot: np.ndarray) -> np.ndarray:
     return block
 
 
+def draw_index(p, rng) -> int:
+    """Index i drawn with probability p[i] from one rng.random().
+
+    This is the arithmetic of Generator.choice(len(p), p=p): the running
+    sums of p, in order, are the cdf; each is divided by the last; the
+    index is the number of cdf entries at or below one double u.  So the
+    index, and the generator's state after it, are those choice gives, at
+    a fraction of its cost.  p is a sequence of floats that are
+    nonnegative and sum to about one; it is not validated.
+
+    The uniform bit int(rng.random() >= 0.5) is the case p = [1/2, 1/2]:
+    its cdf is [0.5, 1.0] and u < 1, so the index is 1 exactly when
+    u >= 0.5.  Code that draws such a bit writes that comparison inline.
+    """
+    cdf = list(accumulate(p))
+    total = cdf[-1]
+    u = rng.random()
+    return sum(c / total <= u for c in cdf)
+
+
+def _draw(state: DenseState, qubits, basis, rng):
+    """The outcome draw of measure and readout.
+
+    Returns the checked wires, the block over them rotated into the
+    basis, its normalised outcome probabilities and the drawn outcome.
+    """
+    wires, block = _block(state, qubits)
+    if basis != Basis.Z:
+        block = _rotate_rows(block, _basis_rotation(basis))
+    probs = (np.abs(block) ** 2).sum(axis=1)
+    probs = probs / probs.sum()
+    return wires, block, probs, draw_index(probs.tolist(), rng)
+
+
 def measure(state: DenseState, qubits, basis, rng):
     """Projectively measure each listed qubit in the given basis.
 
     Returns (outcome bits, post-measurement DenseState).  The collapsed
     qubits are left in the corresponding basis eigenvector.
     """
-    wires, block = _block(state, qubits)
-    rot = _basis_rotation(basis)
-    if basis != Basis.Z:
-        block = _rotate_rows(block, rot)
-    probs = np.sum(np.abs(block) ** 2, axis=1)
-    probs = probs / probs.sum()
-    outcome = int(rng.choice(len(probs), p=probs))
+    wires, block, probs, outcome = _draw(state, qubits, basis, rng)
     post = np.zeros_like(block)
     post[outcome] = block[outcome] / math.sqrt(probs[outcome])
     if basis != Basis.Z:
-        post = _rotate_rows(post, rot.conj().T)
+        post = _rotate_rows(post, _basis_rotation(basis).conj().T)
     return gf2.int_to_bits(outcome, len(wires)), _unblock(post, wires)
+
+
+def readout(state: DenseState, qubits, basis, rng) -> tuple:
+    """The outcome bits of measure, from the same draw, with no post-state."""
+    wires, _, _, outcome = _draw(state, qubits, basis, rng)
+    return gf2.int_to_bits(outcome, len(wires))
 
 
 def measure_observable(state: DenseState, observable, wires, rng):
@@ -280,8 +313,10 @@ def measure_observable(state: DenseState, observable, wires, rng):
     plus = 0.5 * (block + _operator(observable, wires) @ block)
     p_plus = float(np.vdot(plus, plus).real)
     bit = 0 if rng.random() < p_plus else 1
-    chosen = plus if bit == 0 else block - plus
-    return bit, _unblock(chosen / np.linalg.norm(chosen), wires)
+    chosen = (plus if bit == 0 else block - plus).reshape(-1)
+    # np.linalg.norm's own sum for a complex array, without its dispatch.
+    re, im = chosen.real, chosen.imag
+    return bit, _unblock(chosen / math.sqrt(re.dot(re) + im.dot(im)), wires)
 
 
 @dataclass(frozen=True)
@@ -461,17 +496,6 @@ def fidelity(a, b) -> float:
     return float(abs(np.vdot(va, vb)) ** 2)
 
 
-def trace_distance(a, b) -> float:
-    """Trace distance between two pure states given as vectors."""
-    va = densify(a).amplitudes
-    vb = densify(b).amplitudes
-    if va.size != vb.size:
-        raise ValueError("state sizes differ")
-    rho = np.outer(va, va.conj()) - np.outer(vb, vb.conj())
-    eigs = np.linalg.eigvalsh(rho)
-    return float(0.5 * np.sum(np.abs(eigs)))
-
-
 def projection_norm(outcome, protocol: str) -> float:
     """Norm of the correctness projector applied to an outcome's state.
 
@@ -511,29 +535,6 @@ def projection_norm(outcome, protocol: str) -> float:
             raise ValueError("state width mismatch for %s projector" % tag)
         return float(abs(np.vdot(tvec, vec)))
     raise ValueError("unknown protocol tag %r" % protocol)
-
-
-def apply_bit_function(state: DenseState, input_qubits, fn, out_width: int):
-    """|x>|0^k> -> |x>|f(x)>: append out_width qubits holding fn of the bits.
-
-    fn receives the bit tuple of the listed input qubits and returns either
-    an int below 2^out_width or a bit tuple.
-    """
-    n = state.num_qubits
-    input_qubits = tuple(int(q) for q in input_qubits)
-    if n + out_width > MAX_DENSE_QUBITS:
-        raise ValueError("bit function output exceeds the dense qubit limit")
-    new = np.zeros(1 << (n + out_width), dtype=complex)
-    amps = state.amplitudes
-    for idx in np.flatnonzero(np.abs(amps) > 0):
-        bits = gf2.int_to_bits(int(idx), n)
-        val = fn(tuple(bits[q] for q in input_qubits))
-        if not isinstance(val, int):
-            val = gf2.bits_to_int(val)
-        if not 0 <= val < (1 << out_width):
-            raise ValueError("bit function value out of range")
-        new[(int(idx) << out_width) | val] = amps[idx]
-    return DenseState(new)
 
 
 def drop_qubits(state: DenseState, qubits, expected_bits) -> DenseState:

@@ -1,0 +1,61 @@
+"""Reference functions that only the tests use.
+
+Each one is a plain dense computation that a test compares the simulator
+against; none of them is on a protocol path.
+"""
+
+import numpy as np
+
+from ospsim import cvqc, gf2, qsim
+
+
+def basis_vector(basis, outcome: int) -> np.ndarray:
+    """The eigenvector of the given basis labelled by outcome bit."""
+    rot = qsim._basis_rotation(basis)
+    return rot.conj().T[:, outcome].copy()
+
+
+def trace_distance(a, b) -> float:
+    """Trace distance between two pure states given as vectors."""
+    va = qsim.densify(a).amplitudes
+    vb = qsim.densify(b).amplitudes
+    if va.size != vb.size:
+        raise ValueError("state sizes differ")
+    rho = np.outer(va, va.conj()) - np.outer(vb, vb.conj())
+    eigs = np.linalg.eigvalsh(rho)
+    return float(0.5 * np.sum(np.abs(eigs)))
+
+
+def apply_bit_function(state, input_qubits, fn, out_width: int):
+    """|x>|0^k> -> |x>|f(x)>: append out_width qubits holding fn of the bits.
+
+    fn receives the bit tuple of the listed input qubits and returns either
+    an int below 2^out_width or a bit tuple.
+    """
+    n = state.num_qubits
+    input_qubits = tuple(int(q) for q in input_qubits)
+    if n + out_width > qsim.MAX_DENSE_QUBITS:
+        raise ValueError("bit function output exceeds the dense qubit limit")
+    new = np.zeros(1 << (n + out_width), dtype=complex)
+    amps = state.amplitudes
+    for idx in np.flatnonzero(np.abs(amps) > 0):
+        bits = gf2.int_to_bits(int(idx), n)
+        val = fn(tuple(bits[q] for q in input_qubits))
+        if not isinstance(val, int):
+            val = gf2.bits_to_int(val)
+        if not 0 <= val < (1 << out_width):
+            raise ValueError("bit function value out of range")
+        new[(int(idx) << out_width) | val] = amps[idx]
+    return qsim.DenseState(new)
+
+
+def anticommutator_norm(a, b) -> float:
+    """Spectral norm of {Z-parity(a), X-parity(b)}: 0 when the overlap is
+    odd, 2 when it is even."""
+    a = tuple(int(t) for t in a)
+    b = tuple(int(t) for t in b)
+    if len(a) != len(b):
+        raise ValueError("support vectors must have equal length")
+    za = cvqc.pauli_string("Z", a)
+    xb = cvqc.pauli_string("X", b)
+    return float(np.linalg.norm(za @ xb + xb @ za, 2))

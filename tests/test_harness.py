@@ -434,6 +434,21 @@ def test_poq_verifier_rejects_an_image_outside_the_table():
     assert [m.kind for m in client.messages] == ["round-params", "evaluation"]
 
 
+def test_a_peer_that_goes_quiet_ends_the_session_with_error():
+    """Two empty turns before the verifier has its result are no
+    completed session."""
+    config = CONFIGS["poq"]
+    honest = harness.run_local("poq", 5, config)["client"].messages
+    assert honest[1].kind == "evaluation"
+    data = (_peer_hello("poq") + harness.frame_encode(honest[1])
+            + harness._TURN_END * 2)
+    client = _against_peer("poq", "client", data, config)
+    assert client.outcome == {
+        "status": "error", "result": None,
+        "detail": "session ended before the party finished"}
+    assert client.messages == honest[:3]
+
+
 def _ot_states(*widths):
     return [{"state": {"width": w, "u": "0" * w, "v": "0" * w, "phase": 0}}
             for w in widths]

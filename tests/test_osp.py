@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import apply_bit_function
 from ospsim import apps, gf2, osp, qsim, tcf
 
 
@@ -199,7 +200,7 @@ def test_osp_from_csg_dense_oracle():
         r1 = tuple(int(t) for t in rng.integers(0, 2, n))
 
         dense = claw.receiver_state.densify()
-        appended = qsim.apply_bit_function(
+        appended = apply_bit_function(
             dense,
             list(range(n + 1)),
             lambda bits: gf2.dot(r0, bits[1:]) if bits[0] == 0 else gf2.dot(r1, bits[1:]),
@@ -245,7 +246,7 @@ def test_two_round_dense_receiver_oracle():
             pp, sp = tcf.gen("dual", b, n, 0, 1, seed=300 + seed)
             rng = rng_for(900 + seed)
             state = qsim.DenseState.uniform(n + 1)
-            state = qsim.apply_bit_function(
+            state = apply_bit_function(
                 state,
                 list(range(n + 1)),
                 lambda bits: tcf.eval(pp, bits[0], bits[1:]),

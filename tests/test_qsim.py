@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import apply_bit_function, basis_vector, trace_distance
 from ospsim import gf2, qsim
 from ospsim.qsim import (
     AffineBranchState,
@@ -16,7 +17,6 @@ from ospsim.qsim import (
     fidelity,
     measure,
     projection_norm,
-    trace_distance,
 )
 
 RS = math.sqrt(0.5)
@@ -79,7 +79,7 @@ def test_measure_plus_in_z_frequencies():
 
 def test_measure_zero_in_xplusz():
     # Exact Born probability first, then a sampled sanity check.
-    v0 = qsim.basis_vector(Basis.XPLUSZ, 0)
+    v0 = basis_vector(Basis.XPLUSZ, 0)
     assert abs(abs(v0[0]) ** 2 - math.cos(math.pi / 8) ** 2) < 1e-12
     rng = np.random.default_rng(5)
     hits = 0
@@ -399,7 +399,7 @@ def test_projection_norm_degenerate_claw_is_zero():
 
 def test_apply_bit_function():
     state = DenseState.uniform(2)
-    out = qsim.apply_bit_function(state, (0, 1), lambda bits: bits[0] ^ bits[1], 1)
+    out = apply_bit_function(state, (0, 1), lambda bits: bits[0] ^ bits[1], 1)
     for idx in range(8):
         b = gf2.int_to_bits(idx, 3)
         expected = 0.5 if b[2] == b[0] ^ b[1] else 0.0
@@ -469,16 +469,17 @@ def test_apply_gate_matches_kron_operators(wires):
     assert np.allclose(got.amplitudes, want, rtol=0, atol=1e-12)
 
 
-class _Pick:
-    """Stand-in generator: records the law handed to choice, returns pick."""
+class _Midpoint:
+    """Stand-in generator: random() returns the midpoint of outcome's cdf
+    interval under the exact law, so only that outcome can be drawn."""
 
-    def __init__(self, pick):
-        self.pick = pick
-        self.law = None
+    def __init__(self, law, outcome):
+        self.u = (sum(law[:outcome]) + sum(law[:outcome + 1])) / 2
+        self.calls = 0
 
-    def choice(self, size, p):
-        self.law = np.asarray(p)
-        return self.pick
+    def random(self):
+        self.calls += 1
+        return self.u
 
 
 @pytest.mark.parametrize("basis", list(Basis))
@@ -486,18 +487,50 @@ class _Pick:
 def test_measure_matches_kron_projectors(basis, wires):
     state = _random_state(len(wires) * 10 + list(Basis).index(basis))
     k = len(wires)
+    projectors, law = [], []
     for outcome in range(1 << k):
         bits = gf2.int_to_bits(outcome, k)
         proj = _embed({q: np.outer(_EIGEN[basis][b], np.conj(_EIGEN[basis][b]))
                        for q, b in zip(wires, bits)})
         hit = proj @ state.amplitudes
-        prob = float(np.vdot(hit, hit).real)
-        rng = _Pick(outcome)
+        projectors.append(hit)
+        law.append(float(np.vdot(hit, hit).real))
+    for outcome, hit in enumerate(projectors):
+        bits = gf2.int_to_bits(outcome, k)
+        rng = _Midpoint(law, outcome)
         got, post = measure(state, wires, basis, rng)
         assert got == bits
-        assert len(rng.law) == 1 << k
-        assert abs(rng.law[outcome] - prob) < 1e-12
+        assert rng.calls == 1
+        prob = law[outcome]
         assert np.allclose(post.amplitudes, hit / math.sqrt(prob), atol=1e-12)
+
+
+def test_draw_index_matches_choice():
+    """Same index as Generator.choice(len(p), p=p), and the same stream."""
+    source = np.random.default_rng(20261019)
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    for trial in range(6000):
+        p = source.random(int(source.integers(2, 9)))
+        if trial % 3 == 0:  # some outcomes impossible, the last one too
+            p[source.random(p.size) < 0.4] = 0.0
+            if not p.any():
+                p[int(source.integers(0, p.size))] = 1.0
+        p = p / p.sum()
+        assert qsim.draw_index(p.tolist(), ours) == int(
+            theirs.choice(p.size, p=p))
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_readout_draws_what_measure_draws(basis):
+    state = _random_state(40 + list(Basis).index(basis))
+    for seed in range(40):
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        for wires in _WIRE_LISTS:
+            bits, _ = measure(state, wires, basis, theirs)
+            assert qsim.readout(state, wires, basis, ours) == bits
+        assert ours.random() == theirs.random()
 
 
 class _Coin:

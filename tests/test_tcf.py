@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from oracles import apply_bit_function
 from ospsim import gf2, qsim, tcf
 
 
@@ -198,7 +199,7 @@ def test_post_measurement_claw_state_dense_oracle():
     pp, sp = tcf.gen("dual", 1, 3, 0, 1, 53)
     rng = np.random.default_rng(99)
     reg = qsim.DenseState.uniform(pp.n + 1)
-    total = qsim.apply_bit_function(
+    total = apply_bit_function(
         reg,
         tuple(range(4)),
         lambda bits: tcf.eval(pp, bits[0], bits[1:]),
