@@ -64,6 +64,14 @@ def _drive(client, server):
     return transcript
 
 
+def _expect(party, msg):
+    """Refuse, before any draw, a message the party does not expect next;
+    else move the party on to the kinds that may follow this one."""
+    if msg["kind"] not in party.expected:
+        raise ValueError("unexpected message kind %r" % msg["kind"])
+    party.expected = party.FOLLOWS[msg["kind"]]
+
+
 def _wire_params(pp) -> dict:
     """Public function parameters plus the full table, json-ready."""
     payload = pp.serialize()
@@ -534,6 +542,9 @@ class OtReceiverParty:
     """
 
     role = "client"
+    # The kinds a party accepts next, and the kinds that may follow each.
+    expected = ()
+    FOLLOWS = {"check-set": ("outcome",), "outcome": ()}
 
     def __init__(self, b, lam: int, variant: str, rng, cheat: str = None):
         if variant not in ("search", "indistinguishability"):
@@ -577,9 +588,11 @@ class OtReceiverParty:
                     entry["com"] = com
                     self.openings.append(opening)
                 instances.append(entry)
+            self.expected = ("check-set",)
             return [{"kind": "obligations",
                      "payload": {"lam": self.lam, "variant": self.variant,
                                  "instances": instances}}]
+        _expect(self, msg)
         if msg["kind"] == "check-set":
             check = sorted(int(i) for i in msg["payload"]["T"])
             picked = set(check)
@@ -621,13 +634,14 @@ class OtReceiverParty:
             self.result = {"b": self.b, "value": value,
                            "caught": bool(msg["payload"]["caught"])}
             return []
-        raise ValueError("unexpected message kind %r" % msg["kind"])
 
 
 class OtSenderParty:
     """Checker side: samples the check set, projects, measures the rest."""
 
     role = "server"
+    expected = ("obligations",)
+    FOLLOWS = {"obligations": ("openings",), "openings": ()}
 
     def __init__(self, lam: int, variant: str, rng):
         self.lam = lam
@@ -640,6 +654,7 @@ class OtSenderParty:
         self.result = None
 
     def on_message(self, msg):
+        _expect(self, msg)
         if msg["kind"] == "obligations":
             payload = msg["payload"]
             if payload["variant"] != self.variant or payload["lam"] != self.lam:
@@ -707,7 +722,6 @@ class OtSenderParty:
                 r0, r1 = tuple(r0_bits), tuple(r1_bits)
             self.result = {"caught": caught, "r0": r0, "r1": r1}
             return [{"kind": "outcome", "payload": {"caught": caught}}]
-        raise ValueError("unexpected message kind %r" % msg["kind"])
 
 
 def ot_run(variant: str, b, lam: int, rng, cheat: str = None) -> OtResult:
@@ -740,6 +754,8 @@ class PoqVerifierParty:
     """Drives a fixed number of test rounds and scores them."""
 
     role = "client"
+    expected = ()
+    FOLLOWS = {"evaluation": ("answer",), "answer": ()}
 
     def __init__(self, rounds: int, rng, n: int = 3):
         self.rounds = rounds
@@ -755,6 +771,7 @@ class PoqVerifierParty:
         seed = int(self.rng.integers(0, 1 << 63))
         pp, sp = tcf.gen("dual", r, self.n, 0, 1, seed)
         self.current = {"r": r, "sp": sp, "s": None, "a": None}
+        self.expected = ("evaluation",)
         payload = _wire_params(pp)
         payload["round"] = self.index
         return {"kind": "round-params", "payload": payload}
@@ -762,6 +779,7 @@ class PoqVerifierParty:
     def on_message(self, msg):
         if msg is None:
             return [self._round_params()]
+        _expect(self, msg)
         if msg["kind"] == "evaluation":
             y = gf2.text_to_bits(msg["payload"]["y"])
             d = gf2.text_to_bits(msg["payload"]["d"])
@@ -773,6 +791,9 @@ class PoqVerifierParty:
             return [{"kind": "challenge",
                      "payload": {"round": self.index, "a": cur["a"]}}]
         if msg["kind"] == "answer":
+            r = msg["payload"]["round"]
+            if type(r) is not int or r != self.index:
+                raise ValueError("answer for round %r, not %d" % (r, self.index))
             cur = self.current
             b = int(msg["payload"]["b"])
             accept = b == (cur["s"] ^ (cur["r"] & cur["a"]))
@@ -785,13 +806,15 @@ class PoqVerifierParty:
             self.result = {"rounds": self.rounds, "accepted": self.accepted,
                            "rate": self.accepted / self.rounds}
             return [verdict]
-        raise ValueError("unexpected message kind %r" % msg["kind"])
 
 
 class PoqProverParty:
     """Honest quantum prover: evaluates, keeps the qubit, measures on cue."""
 
     role = "server"
+    expected = ("round-params",)
+    FOLLOWS = {"round-params": ("challenge",), "challenge": ("verdict",),
+               "verdict": ("round-params",)}
 
     def __init__(self, rng):
         self.rng = rng
@@ -799,6 +822,7 @@ class PoqProverParty:
         self.result = {"rounds": 0}
 
     def on_message(self, msg):
+        _expect(self, msg)
         if msg["kind"] == "round-params":
             pp = _params_from_wire(msg["payload"])
             y, d, self.residual = osp.two_round_receiver(pp, self.rng)
@@ -815,7 +839,6 @@ class PoqProverParty:
         if msg["kind"] == "verdict":
             self.result["rounds"] += 1
             return []
-        raise ValueError("unexpected message kind %r" % msg["kind"])
 
 
 # ---------------------------------------------------- public-key encryption

@@ -1,11 +1,14 @@
 """Blind delegation of Clifford-plus-T circuits over one-time Pauli pads.
 
 The client hides its input under a random X pad and tracks how the pad
-propagates through the circuit.  Clifford gates update the pad keys by
-simple rules; each adjoint-T gate leaks a phase-gate correction whose
-power equals the current X key, which the client fixes up remotely with
-the teleported phase gadget.  The server only ever sees padded bits and
-uniformly random measurement outcomes.
+propagates through the circuit, in one pass over the gates.  Clifford
+gates update the pad keys by simple rules.  A T or TDG gate leaves a
+phase-gate correction whose power equals the current X key, which the
+client fixes up remotely with one draw of the teleported phase gadget.
+On a dense wire the gate and the gadget's diagonal are applied together
+as one diagonal; on a bit wire the phase is global and nothing is
+applied.  The server only ever sees padded bits and uniformly random
+measurement outcomes.
 
 A run may start from an existing register, which fills the leading wires;
 the classical input fills the trailing ones.  Those input wires are kept
@@ -102,42 +105,17 @@ def apply_circuit(state: qsim.DenseState, circuit: Circuit) -> qsim.DenseState:
 def classical_eval(circuit: Circuit, bits) -> tuple:
     """Evaluate a measurement-stable circuit on a bit string.
 
-    X and CNOT permute basis states; pure-phase gates cannot change a
-    Z-basis readout.  Anything else (H) has no classical meaning here.
+    Every gate must keep its wires basis states (see _BIT_GATES); H has
+    no classical meaning here.
     """
     out = [int(b) for b in bits]
     if len(out) != circuit.num_qubits:
         raise ValueError("input width mismatch")
+    if not _stays_classical(circuit, 0):
+        raise ValueError("circuit has no classical evaluation")
     for name, qubits in circuit.gates:
-        if name == "X":
-            out[qubits[0]] ^= 1
-        elif name == "CNOT":
-            out[qubits[1]] ^= out[qubits[0]]
-        elif name in ("Z", "P", "PDG", "T", "TDG"):
-            pass
-        else:
-            raise ValueError("%s has no classical evaluation" % name)
+        _gate(None, name, qubits, 0, out)
     return tuple(out)
-
-
-def compile_alternating(circuit: Circuit):
-    """Split into Clifford segments separated by adjoint-T gates.
-
-    T is rewritten as adjoint-T followed by a phase gate, so the output is
-    (segments, targets) with len(segments) == len(targets) + 1.
-    """
-    segments = [[]]
-    targets = []
-    for name, qubits in circuit.gates:
-        if name == "T":
-            targets.append(qubits[0])
-            segments.append([("P", qubits)])
-        elif name == "TDG":
-            targets.append(qubits[0])
-            segments.append([])
-        else:
-            segments[-1].append((name, qubits))
-    return [tuple(seg) for seg in segments], targets
 
 
 class PauliFrame:
@@ -148,9 +126,6 @@ class PauliFrame:
         self.s = [int(b) for b in s]
         if len(self.r) != len(self.s):
             raise ValueError("key vectors must have equal length")
-
-    def copy(self) -> "PauliFrame":
-        return PauliFrame(self.r, self.s)
 
     def apply_clifford(self, name, qubits):
         name = name.upper()
@@ -261,23 +236,23 @@ def delegate_on_state(circuit: Circuit, state: qsim.DenseState, input_bits,
         state = state.tensor(qsim.DenseState.from_bits(padded))
         split, padded = n, []
 
-    segments, targets = compile_alternating(circuit)
-    for i, segment in enumerate(segments):
-        for name, qubits in segment:
+    for name, qubits in circuit.gates:
+        if name not in NON_CLIFFORD_GATES:
             state = _gate(state, name, qubits, split, padded)
             frame.apply_clifford(name, qubits)
-        if i < len(targets):
-            q = targets[i]
-            if q >= split:  # a phase on a bit is global: only the keys count
-                _, z_key, m = gadgets.phase_readout(frame.r[q], rng, source)
-            else:
-                state = qsim.apply_gate(state, "TDG", [q])
-                res = gadgets.encrypted_phase(state, q, frame.r[q], rng, source)
-                state, z_key, m = res.state, res.z_key, res.outcome_bit
-            frame.s[q] ^= z_key
-            transcript.append(
-                {"role": "server", "kind": "phase-outcome", "payload": {"m": m}}
-            )
+            continue
+        # T is TDG then P.  TDG, the gadget's diagonal D and P all act on q
+        # as diagonals, so P D TDG = D T; a phase on a bit is global.
+        q = qubits[0]
+        phase, z_key, m = gadgets.phase_readout(frame.r[q], rng, source)
+        if q < split:
+            state = qsim.apply_gate(state, phase @ qsim.GATES[name], qubits)
+        frame.s[q] ^= z_key
+        if name == "T":
+            frame.apply_clifford("P", qubits)
+        transcript.append(
+            {"role": "server", "kind": "phase-outcome", "payload": {"m": m}}
+        )
     return DelegationResult(circuit, state, frame, transcript, tuple(padded))
 
 

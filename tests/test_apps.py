@@ -384,6 +384,38 @@ def test_ot_sender_checks_the_obligations_before_it_draws(edit):
     assert sender.rng.bit_generator.state == before
 
 
+def test_ot_receiver_answers_one_check_set():
+    # Answering T = [0..3] and then T = [4..7] gave the sender b_i for one
+    # set and (x0, x1) for the other, so b = b_i ^ x0 ^ x1.
+    receiver, _, check_set = _ot_to_openings(4)
+    check_set["payload"]["T"] = [0, 1, 2, 3]
+    receiver.on_message(check_set)
+    check_set["payload"]["T"] = [4, 5, 6, 7]
+    with pytest.raises(ValueError, match="unexpected message kind 'check-set'"):
+        receiver.on_message(check_set)
+
+
+def test_ot_sender_draws_one_check_set():
+    receiver = apps.OtReceiverParty(1, 4, "search", rng_for(94))
+    sender = apps.OtSenderParty(4, "search", rng_for(95))
+    (obligations,) = receiver.on_message(None)
+    sender.on_message(obligations)
+    before = sender.rng.bit_generator.state
+    with pytest.raises(ValueError, match="unexpected message kind 'obligations'"):
+        sender.on_message(obligations)
+    assert sender.rng.bit_generator.state == before
+
+
+def test_ot_sender_refuses_openings_before_obligations():
+    receiver, _, check_set = _ot_to_openings(4)
+    (openings,) = receiver.on_message(check_set)
+    sender = apps.OtSenderParty(4, "search", rng_for(96))
+    before = sender.rng.bit_generator.state
+    with pytest.raises(ValueError, match="unexpected message kind 'openings'"):
+        sender.on_message(openings)
+    assert sender.rng.bit_generator.state == before
+
+
 # ------------------------------------------------------------ test parties
 
 
@@ -416,6 +448,46 @@ def test_poq_verifier_draws_nothing_for_an_image_outside_the_table():
         verifier.on_message({"kind": "evaluation",
                              "payload": {"y": format(y, "05b"), "d": "000"}})
     assert rng.bit_generator.state == before
+
+
+def _poq_to_challenge(seed=1):
+    """A verifier and an honest prover, one round up to the challenge."""
+    verifier = apps.PoqVerifierParty(2, rng_for(seed), n=3)
+    prover = apps.PoqProverParty(rng_for(seed + 1))
+    (params,) = verifier.on_message(None)
+    (evaluation,) = prover.on_message(params)
+    (challenge,) = verifier.on_message(evaluation)
+    return verifier, prover, evaluation, challenge
+
+
+def test_poq_verifier_draws_one_challenge_per_round():
+    verifier, _, evaluation, _ = _poq_to_challenge()
+    before = verifier.rng.bit_generator.state
+    with pytest.raises(ValueError, match="unexpected message kind 'evaluation'"):
+        verifier.on_message(evaluation)
+    assert verifier.rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("round_", [7, 1, -1, "0", None, 0.0],
+                         ids=["seven", "next", "minus-one", "text", "none",
+                              "float"])
+def test_poq_verifier_scores_only_the_current_round(round_):
+    verifier, prover, _, challenge = _poq_to_challenge()
+    (answer,) = prover.on_message(challenge)
+    answer["payload"]["round"] = round_
+    before = verifier.rng.bit_generator.state
+    with pytest.raises(ValueError, match="answer for round"):
+        verifier.on_message(answer)
+    assert verifier.index == 0 and verifier.accepted == 0
+    assert verifier.rng.bit_generator.state == before
+
+
+def test_poq_prover_refuses_a_challenge_before_round_params():
+    prover = apps.PoqProverParty(rng_for(3))
+    before = prover.rng.bit_generator.state
+    with pytest.raises(ValueError, match="unexpected message kind 'challenge'"):
+        prover.on_message({"kind": "challenge", "payload": {"round": 0, "a": 0}})
+    assert prover.rng.bit_generator.state == before
 
 
 # -------------------------------------------------------------------- PKE

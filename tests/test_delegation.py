@@ -51,18 +51,6 @@ def test_t_count_property():
     assert circ.t_count == 2
 
 
-def test_compile_alternating_t_expansion():
-    circ = delegation.Circuit(1, (("T", (0,)),))
-    segments, targets = delegation.compile_alternating(circ)
-    assert targets == [0]
-    assert segments == [(), (("P", (0,)),)]
-
-    circ = delegation.Circuit(2, (("H", (0,)), ("TDG", (1,)), ("CNOT", (0, 1))))
-    segments, targets = delegation.compile_alternating(circ)
-    assert targets == [1]
-    assert segments == [(("H", (0,)),), (("CNOT", (0, 1)),)]
-
-
 def test_classical_eval():
     circ = delegation.Circuit(
         3, (("X", (0,)), ("CNOT", (0, 2)), ("Z", (1,)), ("P", (2,)))
@@ -345,6 +333,25 @@ def test_phases_on_bit_wires_touch_no_state(monkeypatch):
         assert (delegation.classical_output_round(res, rng)
                 == delegation.classical_eval(circ, bits))
     assert calls == []
+
+
+def test_each_phase_gate_is_one_dense_apply(monkeypatch):
+    """T and TDG on a dense wire: the gate and the gadget are one diagonal."""
+    circ = delegation.parse_circuit("QUBITS 1\nH 0\nT 0\nTDG 0\n")
+    reg = _register(rng_for(38), 1)
+    calls = []
+    apply_gate = qsim.apply_gate
+
+    def counting_apply_gate(*args):
+        calls.append(args[1])
+        return apply_gate(*args)
+
+    monkeypatch.setattr(qsim, "apply_gate", counting_apply_gate)
+    res = delegation.delegate_on_state(circ, reg, (), rng_for(39))
+    assert len(calls) == 3
+    monkeypatch.undo()
+    want = delegation.apply_circuit(reg, circ)
+    assert qsim.fidelity(delegation.unpad_state(res), want) >= 1 - 1e-9
 
 
 def test_delegate_on_state_validation():

@@ -391,7 +391,7 @@ _REJECTED = "round-params message rejected: ValueError"
 
 @pytest.mark.parametrize("kind,payload,detail", [
     ("bogus", {}, "unexpected message kind 'bogus'"),    # unknown kind
-    ("challenge", {}, "KeyError"),                       # missing key
+    ("round-params", {}, "KeyError"),                    # missing key
     ("round-params", [1, 2], "TypeError"),               # payload not a dict
     ("round-params", _round_params(n=64, m=66), _REJECTED),
     ("round-params",
@@ -401,8 +401,10 @@ _REJECTED = "round-params message rejected: ValueError"
      _round_params(table=[list(range(7)), list(range(8, 16))]), _REJECTED),
     ("round-params",
      _round_params(mode="plain", m=3, table=[list(range(8))]), _REJECTED),
+    ("challenge", {"round": 0, "a": 0},
+     "challenge message rejected: ValueError: unexpected message kind"),
 ], ids=["unknown-kind", "missing-key", "payload-not-a-dict", "n-64",
-        "non-integer-entry", "short-row", "plain-mode"])
+        "non-integer-entry", "short-row", "plain-mode", "challenge-first"])
 def test_party_fault_ends_the_session_with_error(kind, payload, detail):
     sid = harness.session_id("poq", 5)
     msg = harness.Message(sid, 0, "client", kind, payload)
@@ -501,6 +503,102 @@ def test_out_of_range_check_set_ends_the_receiver_session():
     assert "ValueError: check set must be 4 distinct indices in [0, 8)" \
         in client.outcome["detail"]
     assert [m.kind for m in client.messages] == ["obligations", "check-set"]
+
+
+def test_ot_receiver_answers_one_check_set_over_a_socket():
+    """A sender that sees the openings for one check set cannot get a
+    second set answered and read the choice bit off the two."""
+    seed, config = 8, {"lam": 4, "b": 1}
+    sid = harness.session_id("ot", seed)
+    listener = harness.open_listener("127.0.0.1", 0)
+    port = listener.getsockname()[1]
+
+    def fake_sender():
+        conn, _ = listener.accept()
+        with conn:
+            fh = conn.makefile("rwb")
+            harness._read_frame(fh)
+            _send_hello(fh, "ot", seed)
+            harness._recv_turn(fh)  # the obligations
+            for seq, check in enumerate(([0, 1, 2, 3], [4, 5, 6, 7])):
+                harness._send_turn(fh, [harness.Message(
+                    sid, seq, "server", "check-set", {"T": check})])
+                try:
+                    harness._recv_turn(fh)
+                except (ConnectionError, OSError):
+                    pass
+            fh.close()
+
+    th = threading.Thread(target=fake_sender)
+    th.start()
+    client = harness.connect_and_run("ot", seed, "127.0.0.1", port, config,
+                                     timeout=10.0)
+    th.join(timeout=20.0)
+    listener.close()
+    assert not th.is_alive()
+    assert client.outcome["status"] == "error"
+    assert client.outcome["detail"] == ("check-set message rejected: "
+                                        "ValueError: unexpected message kind "
+                                        "'check-set'")
+    assert [m.kind for m in client.messages] == [
+        "obligations", "check-set", "openings", "check-set"]
+
+
+def _honest(protocol, kind, config):
+    """The first message of the given kind in an honest in-process run."""
+    messages = harness.run_local(protocol, 5, config)["client"].messages
+    return next(m for m in messages if m.kind == kind)
+
+
+def _renumbered(msg, seq):
+    return harness.Message(msg.session, seq, msg.role, msg.kind, msg.payload)
+
+
+@pytest.mark.parametrize("kinds", [("obligations",) * 3, ("openings",)],
+                         ids=["obligations-thrice", "openings-first"])
+def test_ot_sender_refuses_a_message_out_of_order_over_a_socket(kinds):
+    """The sender draws one check set, and only after the obligations."""
+    config = CONFIGS["ot"]
+    turn = [_renumbered(_honest("ot", kind, config), seq)
+            for seq, kind in enumerate(kinds)]
+    server = _serve_against("ot", config, turn)
+    assert server.outcome["status"] == "error"
+    assert server.outcome["detail"] == (
+        "%s message rejected: ValueError: unexpected message kind %r"
+        % (kinds[-1], kinds[-1]))
+    assert server.messages == turn
+
+
+def test_poq_verifier_draws_one_challenge_over_a_socket():
+    config = CONFIGS["poq"]
+    evaluation = _honest("poq", "evaluation", config)
+    data = (_peer_hello("poq") + harness.frame_encode(evaluation)
+            + harness.frame_encode(_renumbered(evaluation, 1))
+            + harness._TURN_END * 2)
+    client = _against_peer("poq", "client", data, config)
+    assert client.outcome["status"] == "error"
+    assert client.outcome["detail"] == ("evaluation message rejected: "
+                                        "ValueError: unexpected message kind "
+                                        "'evaluation'")
+    assert [m.kind for m in client.messages] == [
+        "round-params", "evaluation", "evaluation"]
+
+
+def test_poq_verifier_refuses_an_answer_for_another_round_over_a_socket():
+    config = CONFIGS["poq"]
+    evaluation = _honest("poq", "evaluation", config)
+    answer = _honest("poq", "answer", config)
+    stale = harness.Message(answer.session, answer.seq, answer.role,
+                            answer.kind, dict(answer.payload, round=7))
+    data = (_peer_hello("poq") + harness.frame_encode(evaluation)
+            + harness._TURN_END + harness.frame_encode(stale)
+            + harness._TURN_END * 2)
+    client = _against_peer("poq", "client", data, config)
+    assert client.outcome["status"] == "error"
+    assert client.outcome["detail"] == ("answer message rejected: ValueError: "
+                                        "answer for round 7, not 0")
+    assert [m.kind for m in client.messages] == [
+        "round-params", "evaluation", "challenge", "answer"]
 
 
 @given(protocol=st.sampled_from(("poq", "ot")),

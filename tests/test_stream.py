@@ -7,35 +7,42 @@ and phase gadgets, which draw their uniform helper readouts without
 putting the helpers on the state.  A change that alters an outcome, or
 the count or order of random draws, changes the digest.  A second
 sha256 pins what the switched-CNOT gadget feeds: public-key ciphertexts,
-claw states and OT results.
+claw states and OT results.  A count pins how many dense gate applies
+the delegated rounds make, one per T or TDG on a dense wire.
 """
 
 import hashlib
 
 import numpy as np
 
-from ospsim import apps, cvqc, gadgets, harness
+from ospsim import apps, cvqc, gadgets, harness, qsim
 
 PINNED = "3975d82b36d7a7401031a174573c1a986c4e567f39fe5e449d2f85bc7acfefb9"
+APPLY_GATE_PINNED = 1261
 GADGET_PINNED = "e7cb8cbd3236658aef18f974996d492397c469d3e552037811c582448137ad59"
 
 _PAIR = "QUBITS 2\nX 0 1 0.5\nZ 0 1 0.5\n"
 _CHAIN = "QUBITS 3\nX 0 1 0.25\nX 1 2 0.25\nZ 0 1 0.25\nZ 1 2 0.25\n"
 
 
+def _energy_rounds(text, delegated, rounds):
+    """Seeded honest energy-game rounds as (question, answers, accept)."""
+    ham = cvqc.parse_hamiltonian(text)
+    alpha = cvqc.min_eigenvalue(ham)
+    params = cvqc.GameParams(0.2, alpha, alpha + 1.0)
+    base = cvqc.prepared_state(ham)
+    rng = np.random.default_rng([ham.num_qubits, int(delegated)])
+    for _ in range(rounds):
+        yield cvqc.honest_round(ham, params, rng, delegated=delegated,
+                                base=base)
+
+
 def _stream_digest() -> str:
     digest = hashlib.sha256()
     for text, delegated, rounds in ((_PAIR, False, 400), (_CHAIN, False, 200),
                                     (_PAIR, True, 30)):
-        ham = cvqc.parse_hamiltonian(text)
-        alpha = cvqc.min_eigenvalue(ham)
-        params = cvqc.GameParams(0.2, alpha, alpha + 1.0)
-        base = cvqc.prepared_state(ham)
-        rng = np.random.default_rng([ham.num_qubits, int(delegated)])
-        for _ in range(rounds):
-            question, answers, accept = cvqc.honest_round(
-                ham, params, rng, delegated=delegated, base=base)
-            digest.update(repr((question, answers, accept)).encode())
+        for played in _energy_rounds(text, delegated, rounds):
+            digest.update(repr(played).encode())
     for protocol, config in (
             ("poq", {"rounds": 6}),
             ("ot", {"lam": 4, "b": 1, "variant": "search"}),
@@ -49,6 +56,21 @@ def _stream_digest() -> str:
 
 def test_seeded_stream_matches_the_pinned_digest():
     assert _stream_digest() == PINNED
+
+
+def test_delegated_rounds_make_the_pinned_number_of_dense_applies(monkeypatch):
+    """The 30 delegated rounds above apply each T or TDG as one diagonal."""
+    calls = []
+    apply_gate = qsim.apply_gate
+
+    def counting_apply_gate(*args):
+        calls.append(args[1])
+        return apply_gate(*args)
+
+    monkeypatch.setattr(qsim, "apply_gate", counting_apply_gate)
+    for _ in _energy_rounds(_PAIR, True, 30):
+        pass
+    assert len(calls) == APPLY_GATE_PINNED
 
 
 def _gadget_digest() -> str:
