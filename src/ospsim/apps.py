@@ -809,7 +809,12 @@ class PoqVerifierParty:
 
 
 class PoqProverParty:
-    """Honest quantum prover: evaluates, keeps the qubit, measures on cue."""
+    """Honest quantum prover: evaluates, keeps the qubit, measures on cue.
+
+    The prover cannot tell the last round from the others, so it counts
+    as finished whenever its latest round has closed: result is set by
+    each verdict and cleared by the next round-params.
+    """
 
     role = "server"
     expected = ("round-params",)
@@ -819,11 +824,13 @@ class PoqProverParty:
     def __init__(self, rng):
         self.rng = rng
         self.residual = None
-        self.result = {"rounds": 0}
+        self.rounds = 0
+        self.result = None
 
     def on_message(self, msg):
         _expect(self, msg)
         if msg["kind"] == "round-params":
+            self.result = None
             pp = _params_from_wire(msg["payload"])
             y, d, self.residual = osp.two_round_receiver(pp, self.rng)
             return [{"kind": "evaluation",
@@ -837,7 +844,8 @@ class PoqProverParty:
             return [{"kind": "answer",
                      "payload": {"round": msg["payload"]["round"], "b": b}}]
         if msg["kind"] == "verdict":
-            self.result["rounds"] += 1
+            self.rounds += 1
+            self.result = {"rounds": self.rounds}
             return []
 
 

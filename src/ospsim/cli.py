@@ -115,7 +115,7 @@ def _wire_session(args, protocol, config):
     if result is not None:
         print("result: %s" % json.dumps(result, sort_keys=True, default=str))
     if args.out:
-        transcript.save(args.out)
+        _write_json(args.out, transcript.to_json())
         print("transcript written to %s" % args.out)
     return 0 if transcript.outcome["status"] == "complete" else 1
 

@@ -375,18 +375,14 @@ def _delegated_answers(ham, question, state, rng):
 
 
 def honest_round(ham: Hamiltonian, params: GameParams, rng, delegated=False,
-                 prepare=None, base=None):
-    """Play one round honestly; returns (question, answers, accept).
-
-    base short-circuits state preparation so a caller looping over many
-    rounds can share one prepared state.
-    """
+                 *, base):
+    """Play one round honestly on the prepared state base; returns
+    (question, answers, accept)."""
     question = sample_question(ham, params, rng)
-    state = base if base is not None else prepared_state(ham, prepare)
     if delegated:
-        answers = _delegated_answers(ham, question, state, rng)
+        answers = _delegated_answers(ham, question, base, rng)
     else:
-        answers = _direct_answers(ham, question, state, rng)
+        answers = _direct_answers(ham, question, base, rng)
     return question, answers, verify(question, answers, ham, rng)
 
 

@@ -6,9 +6,12 @@ plus the prepared qubits and reports measurement bits.  The sender then
 knows the Pauli correction keys while the receiver holds the corrected
 state none the wiser.  Neither gadget puts its helpers on the dense
 state: the readouts are uniform, so they are drawn directly, and what the
-circuit leaves on the data is applied as one operator on the data wires
-(a diagonal on the phase target, a 4x4 block on the CNOT pair).  Both
-closed forms are checked against their literal circuits in the tests.
+circuit leaves on the data is one operator on the data wires.  The phase
+gadget is phase_readout: it returns its diagonal with the keys, and the
+caller applies it to the target wire (delegation folds it into the T or
+TDG it stands for).  The CNOT gadget applies its 4x4 block on the pair
+itself.  Both closed forms are checked against their literal circuits in
+the tests.
 
 Each uniform readout bit is int(rng.random() >= 0.5), the draw of
 qsim.draw_index on p = [1/2, 1/2] written inline (its docstring shows why
@@ -23,16 +26,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import osp, qsim
-
-
-@dataclass
-class PhaseGadgetResult:
-    """Server state after the phase-power gadget plus the client's keys."""
-
-    state: qsim.DenseState
-    x_key: int
-    z_key: int
-    outcome_bit: int
 
 
 def phase_readout(b: int, rng, source=None):
@@ -64,18 +57,6 @@ def _phase_diagonal(helper: qsim.TwoBranchState, m: int) -> np.ndarray:
     diagonal = np.diag(np.sqrt(2) * h[[m, m ^ 1]])
     diagonal.flags.writeable = False
     return diagonal
-
-
-def encrypted_phase(state: qsim.DenseState, target: int, b: int, rng,
-                    source=None) -> PhaseGadgetResult:
-    """Apply the b-th power of the phase gate to `target` under Pauli keys.
-
-    The diagonal from `phase_readout` is applied to the data qubit, which
-    ends as Z^{z_key} P^b (data); the X key is always zero.
-    """
-    phase, z_key, m = phase_readout(b, rng, source)
-    return PhaseGadgetResult(qsim.apply_gate(state, phase, [target]), 0,
-                             z_key, m)
 
 
 # ---------------------------------------------------------- encrypted CNOT

@@ -6,7 +6,8 @@ pins down everything needed to make two runs comparable byte for byte:
 
 * every frame, the opening hello and each message alike, is canonical
   JSON (sorted keys, no insignificant whitespace) behind a 4-byte
-  big-endian length prefix;
+  big-endian length prefix, written by one writer (_encode_frame) and
+  read by one reader (_read_frame, then _decode_body);
 * party randomness comes from a labelled split of one session seed, so
   the in-process driver and the socket driver draw identical streams;
 * the transcript records messages in delivery order, which both drivers
@@ -17,13 +18,14 @@ alternate turns.  A turn is zero or more frames closed by a turn marker;
 the session ends when both sides send an empty turn back to back.  One
 connection carries one session.  Whatever bytes a peer sends, a session
 ends with a transcript of status complete, error, timeout or
-disconnected; a malformed frame ends it with error.
+disconnected; a malformed frame ends it with error.  complete means the
+party finished: a party sets its result only once its part is done (the
+poq prover, which cannot tell the last round, after each verdict).
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import socket
 import struct
@@ -52,20 +54,11 @@ class SessionError(RuntimeError):
     """Local misuse of the harness (bad role, unknown protocol, and so on)."""
 
 
-def _json_default(value):
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    raise TypeError("payload value %r is not wire-serializable" % (value,))
-
-
 def canonical_json(obj) -> bytes:
-    """Serialize with sorted keys and no insignificant whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=_json_default).encode("utf-8")
+    """Serialize with sorted keys and no insignificant whitespace; a value
+    json cannot encode raises TypeError."""
+    return json.dumps(obj, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
 
 
 # ------------------------------------------------------------------ messages
@@ -151,21 +144,6 @@ def frame_encode(message: Message) -> bytes:
     return _encode_frame(message.to_dict())
 
 
-def frame_decode(data: bytes) -> Message:
-    """Inverse of frame_encode; rejects anything but one exact frame."""
-    buf = io.BytesIO(data)
-    try:
-        body = _read_frame(buf)
-    except ConnectionError:
-        raise FrameError("frame truncated after %d bytes" % len(data)) from None
-    if body is None:
-        raise FrameError("a turn marker is not a frame")
-    if buf.tell() < len(data):
-        raise FrameError("%d trailing bytes after the frame"
-                         % (len(data) - buf.tell()))
-    return Message.from_dict(_decode_body(body))
-
-
 # --------------------------------------------------------------- transcripts
 
 
@@ -196,11 +174,6 @@ class Transcript:
     def message_bytes(self) -> bytes:
         """Canonical bytes of the message list alone."""
         return canonical_json([m.to_dict() for m in self.messages])
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "Transcript":
@@ -308,16 +281,12 @@ def run_local(protocol: str, seed: int, config=None) -> dict:
     config = dict(config or {})
     client = make_party(protocol, "client", seed, config)
     server = make_party(protocol, "server", seed, config)
-    session = session_id(protocol, seed)
-    seq = _Sequencer(session)
+    seq = _Sequencer(session_id(protocol, seed))
     messages = [seq.stamp(rec["role"], rec)
                 for rec in apps._drive(client, server)]
-    out = {}
-    for role, party in (("client", client), ("server", server)):
-        outcome = {"status": "complete", "result": party.result}
-        out[role] = Transcript(protocol, int(seed), session, role,
-                               outcome, list(messages))
-    return out
+    return {role: _finish(party, protocol, seed, role, "complete", None,
+                          list(messages))
+            for role, party in (("client", client), ("server", server))}
 
 
 # -------------------------------------------------------------- socket runs

@@ -490,6 +490,18 @@ def test_poq_prover_refuses_a_challenge_before_round_params():
     assert prover.rng.bit_generator.state == before
 
 
+def test_poq_prover_is_finished_only_between_rounds():
+    verifier, prover, _, challenge = _poq_to_challenge()
+    assert prover.result is None
+    (answer,) = prover.on_message(challenge)
+    assert prover.result is None
+    verdict, params = verifier.on_message(answer)
+    prover.on_message(verdict)
+    assert prover.result == {"rounds": 1}
+    prover.on_message(params)
+    assert prover.result is None
+
+
 # -------------------------------------------------------------------- PKE
 
 

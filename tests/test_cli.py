@@ -225,6 +225,26 @@ def test_cli_connect_against_harness_server(capsys):
     assert box["t"].outcome["status"] == "complete"
 
 
+def test_cli_out_file_holds_the_client_transcript(capsys, tmp_path):
+    listener = harness.open_listener("127.0.0.1", 0)
+    port = listener.getsockname()[1]
+    config = {"lam": 3, "b": 0, "variant": "search"}
+    th = threading.Thread(target=harness.serve_on,
+                          args=(listener, "ot", 7, config, 20.0))
+    th.start()
+    path = tmp_path / "client.json"
+    code = cli.main(["ot", "--connect", "127.0.0.1:%d" % port,
+                     "--lambda", "3", "--b", "0", "--seed", "7",
+                     "--out", str(path)])
+    th.join()
+    listener.close()
+    capsys.readouterr()
+    assert code == 0
+    client = harness.run_local("ot", 7, config)["client"]
+    assert harness.Transcript.load(path).to_bytes() == client.to_bytes()
+    assert path.read_text().endswith("}\n")
+
+
 def test_selftest_single_criterion(capsys, tmp_path):
     out_file = tmp_path / "selftest.json"
     code = cli.main(["selftest", "--only", "9", "--out", str(out_file)])

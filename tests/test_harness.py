@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import io
 import json
 import socket
 import struct
@@ -19,6 +20,11 @@ DIGITS = b"9" * 5_000     # ValueError: past the integer digit limit
 
 def _prefixed(body):
     return struct.pack(">I", len(body)) + body
+
+
+def _read_turn(data):
+    """The messages a session reads from `data` sent as one turn."""
+    return harness._recv_turn(io.BytesIO(data + harness._TURN_END))
 
 
 payloads = st.recursive(
@@ -42,8 +48,7 @@ messages = st.builds(
 @given(messages)
 @settings(max_examples=400)
 def test_frame_roundtrip(msg):
-    again = harness.frame_decode(harness.frame_encode(msg))
-    assert again == msg
+    assert _read_turn(harness.frame_encode(msg)) == [msg]
 
 
 def test_frame_bytes_are_canonical():
@@ -60,28 +65,18 @@ def test_frame_bytes_are_canonical():
 
 
 def test_frame_decode_rejects_truncation():
-    msg = harness.Message("s", 3, "server", "k", {})
-    encoded = harness.frame_encode(msg)
-    with pytest.raises(harness.FrameError):
-        harness.frame_decode(encoded[:-1])
-    with pytest.raises(harness.FrameError):
-        harness.frame_decode(encoded[:3])
-    with pytest.raises(harness.FrameError):
-        harness.frame_decode(b"")
-    with pytest.raises(harness.FrameError, match="turn marker"):
-        harness.frame_decode(harness._TURN_END)
-
-
-def test_frame_decode_rejects_trailing_bytes():
-    encoded = harness.frame_encode(harness.Message("s", 0, "client", "k", 1))
-    with pytest.raises(harness.FrameError, match="trailing"):
-        harness.frame_decode(encoded + b"x")
+    """A stream that ends inside a frame is a disconnect, which a session
+    reports with status disconnected."""
+    encoded = harness.frame_encode(harness.Message("s", 3, "server", "k", {}))
+    for data in (encoded[:-1], encoded[:3], b""):
+        with pytest.raises(ConnectionError, match="mid-frame"):
+            harness._recv_turn(io.BytesIO(data))
 
 
 def test_frame_decode_rejects_bad_json_and_fields():
     for body in (b"{not json", b"\xff", NESTED, DIGITS):
         with pytest.raises(harness.FrameError, match="JSON"):
-            harness.frame_decode(_prefixed(body))
+            _read_turn(_prefixed(body))
     for obj in (
         [1, 2],
         {"session": "s", "seq": 0, "role": "client", "kind": "k"},
@@ -94,7 +89,7 @@ def test_frame_decode_rejects_bad_json_and_fields():
         {"session": 7, "seq": 0, "role": "client", "kind": "k", "payload": 0},
     ):
         with pytest.raises(harness.FrameError):
-            harness.frame_decode(_prefixed(harness.canonical_json(obj)))
+            _read_turn(_prefixed(harness.canonical_json(obj)))
 
 
 def test_frame_length_cap():
@@ -102,7 +97,7 @@ def test_frame_length_cap():
     with pytest.raises(harness.FrameError, match="cap"):
         harness.frame_encode(big)
     with pytest.raises(harness.FrameError, match="cap"):
-        harness.frame_decode(struct.pack(">I", harness.MAX_FRAME_BYTES + 1))
+        _read_turn(struct.pack(">I", harness.MAX_FRAME_BYTES + 1))
 
 
 # ----------------------------------------------------------- seed derivation
@@ -166,15 +161,6 @@ def test_run_local_rejects_unknowns():
         harness.run_local("nope", 0)
     with pytest.raises(harness.SessionError):
         harness.make_party("poq", "observer", 0)
-
-
-def test_transcript_save_load_roundtrip(tmp_path):
-    tr = harness.run_local("poq", 2, {"rounds": 2})["client"]
-    path = tmp_path / "t.json"
-    tr.save(path)
-    again = harness.Transcript.load(path)
-    assert again.to_bytes() == tr.to_bytes()
-    assert again.messages[0].kind == "round-params"
 
 
 # ------------------------------------------------------------- socket runs
@@ -451,6 +437,41 @@ def test_a_peer_that_goes_quiet_ends_the_session_with_error():
     assert client.messages == honest[:3]
 
 
+def _client_turns(count, config):
+    """The bytes of a client that sends the first `count` messages of an
+    honest poq client one per turn, then goes quiet."""
+    honest = [m for m in harness.run_local("poq", 5, config)["client"].messages
+              if m.role == "client"][:count]
+    return (_peer_hello("poq")
+            + b"".join(harness.frame_encode(m) + harness._TURN_END
+                       for m in honest)
+            + harness._TURN_END * 2)
+
+
+_UNFINISHED = {"status": "error", "result": None,
+               "detail": "session ended before the party finished"}
+
+
+@pytest.mark.parametrize("count,outcome,kinds", [
+    (0, _UNFINISHED, []),
+    (1, _UNFINISHED, ["round-params", "evaluation"]),
+    (3, {"status": "complete", "result": {"rounds": 1}},
+     ["round-params", "evaluation", "challenge", "answer", "verdict"]),
+    (4, _UNFINISHED, ["round-params", "evaluation", "challenge", "answer",
+                      "verdict", "round-params", "evaluation"]),
+], ids=["silent", "quiet-mid-round", "quiet-after-a-verdict",
+        "quiet-in-the-second-round"])
+def test_a_poq_prover_finishes_only_when_a_verdict_closes_its_round(
+        count, outcome, kinds):
+    """The prover cannot tell the last round from the others, so a client
+    that goes quiet leaves it finished only right after a verdict."""
+    config = {"rounds": 3}
+    server = _against_peer("poq", "server", _client_turns(count, config),
+                           config)
+    assert server.outcome == outcome
+    assert [m.kind for m in server.messages] == kinds
+
+
 def _ot_states(*widths):
     return [{"state": {"width": w, "u": "0" * w, "v": "0" * w, "phase": 0}}
             for w in widths]
@@ -712,12 +733,13 @@ def test_honest_wire_bytes_are_pinned():
     assert digest.hexdigest() == HONEST_WIRE
 
 
-def _session_over_socketpair(protocol, role, data, seed=5):
+def _session_over_socketpair(protocol, role, data, seed=5, config=None):
     """Play `role` over a socketpair against a peer that writes `data`."""
     local, peer = socket.socketpair()
     feeder = threading.Thread(target=_feed, args=(peer, data))
     feeder.start()
-    party = harness.make_party(protocol, role, seed, CONFIGS[protocol])
+    config = CONFIGS[protocol] if config is None else config
+    party = harness.make_party(protocol, role, seed, config)
     try:
         status, detail, messages = harness._socket_session(
             party, local, protocol, seed, 5.0)
@@ -773,3 +795,51 @@ def test_any_peer_bytes_end_in_a_status(case):
     protocol, role, data = case
     transcript = _session_over_socketpair(protocol, role, data)
     assert transcript.outcome["status"] in STATUSES
+
+
+HONEST_CONFIGS = {"poq": {"rounds": 2}, "ot": {"lam": 2}}
+
+
+@functools.lru_cache(maxsize=None)
+def _honest_messages(protocol, role):
+    config = HONEST_CONFIGS[protocol]
+    return tuple(m for m in harness.run_local(protocol, 5, config)[role].messages
+                 if m.role == role)
+
+
+@st.composite
+def reordered_peers(draw):
+    """(protocol, local role, peer bytes): the honest peer's messages
+    shuffled, repeated and dropped, or a prefix of them, renumbered, in
+    one turn or several."""
+    protocol = draw(st.sampled_from(("poq", "ot")))
+    role = draw(st.sampled_from(harness.ROLES))
+    peer = "server" if role == "client" else "client"
+    honest = _honest_messages(protocol, peer)
+    picks = draw(st.lists(st.sampled_from(honest), max_size=2 * len(honest))
+                 | st.integers(0, len(honest)).map(lambda k: honest[:k]))
+    turns = [[]]
+    for seq, msg in enumerate(picks):
+        if turns[-1] and draw(st.booleans()):
+            turns.append([])
+        turns[-1].append(harness.Message(msg.session, seq, msg.role, msg.kind,
+                                         msg.payload))
+    data = _peer_hello(protocol) + b"".join(
+        b"".join(harness.frame_encode(m) for m in turn) + harness._TURN_END
+        for turn in turns) + harness._TURN_END * 2
+    return protocol, role, data
+
+
+@given(reordered_peers())
+@settings(max_examples=300)
+def test_honest_messages_in_any_order_end_in_a_status(case):
+    """Only the honest order of kinds, or a prefix of it, completes."""
+    protocol, role, data = case
+    peer = "server" if role == "client" else "client"
+    transcript = _session_over_socketpair(protocol, role, data,
+                                          config=HONEST_CONFIGS[protocol])
+    assert transcript.outcome["status"] in STATUSES
+    if transcript.outcome["status"] == "complete":
+        received = [m.kind for m in transcript.messages if m.role == peer]
+        honest = [m.kind for m in _honest_messages(protocol, peer)]
+        assert received == honest[:len(received)]
