@@ -81,7 +81,9 @@ def _wire_params(pp) -> dict:
 
 def _params_from_wire(payload) -> tcf.TcfPublic:
     """The dual family a round-params payload describes.  The peer's n sizes
-    the prover's work, so a malformed payload raises ValueError first."""
+    the prover's work, so a malformed payload raises ValueError first.  A
+    row must hold 2^n distinct m-bit values, as every family's rows do, so
+    an image has at most one preimage per branch."""
     mode, n, m = payload["mode"], int(payload["n"]), int(payload["m"])
     if mode not in ("disjoint", "lossy") or not 1 <= n <= 18 or m != n + 2:
         raise ValueError("round-params need a dual family, 1 <= n <= 18, m = n + 2")
@@ -89,6 +91,9 @@ def _params_from_wire(payload) -> tcf.TcfPublic:
     if len(table) != 2 or any(len(row) != 1 << n or any(type(v) is not int for v in row)
                               for row in table):
         raise ValueError("round-params table must be two rows of 2^n ints")
+    if any(min(row) < 0 or max(row) >= 1 << m or len(set(row)) != len(row)
+           for row in table):
+        raise ValueError("round-params rows must hold distinct values in [0, 2^m)")
     return tcf.TcfPublic(
         n=n,
         m=m,

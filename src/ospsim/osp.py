@@ -176,11 +176,13 @@ def two_round_receiver(pp, rng):
     if pp.mode == "plain":
         raise ValueError("two-round receiver needs the dual-mode family")
     b_in = int(rng.integers(0, 2))
-    x = tuple(int(t) for t in rng.integers(0, 2, n))
-    y = tcf.eval(pp, b_in, x)
-    y_int = gf2.bits_to_int(y)
-    pre = [(b, xi) for b, row in enumerate(pp.table)
-           for xi, v in enumerate(row) if v == y_int]
+    x = rng.integers(0, 2, n).tolist()
+    y_int = pp.table[b_in][gf2.bits_to_int(x)]
+    y = gf2.int_to_bits(y_int, pp.m)
+    # Each row holds distinct values, so an image has at most one
+    # preimage per branch.
+    pre = [(b, row.index(y_int)) for b, row in enumerate(pp.table)
+           if y_int in row]
     if len(pre) == 2:
         (b0, x0), (b1, x1) = pre
         joint = qsim.TwoBranchState(

@@ -13,8 +13,8 @@ Conventions
   amplitude index of |b_0 b_1 ... b_{n-1}> is int(bits, 2).
 * States are value objects.  Operations return new states.
 * Dense states refuse to exceed 20 qubits.  Only _block and _unblock know
-  how amplitudes are laid out by wire; gates, measurements and dropped
-  wires all go through them, and _block rejects negative, out-of-range and
+  how amplitudes are laid out by wire; gates and measurements all go
+  through them, and _block rejects negative, out-of-range and
   repeated wires.  The axis permutation for each (register width, wire
   list) is computed and checked once and then cached.
 * There is one outcome sampler, draw_index: it draws the index
@@ -127,11 +127,14 @@ def phase_index(value: complex) -> int:
     raise ValueError("phase %r is not an 8th root of unity" % (value,))
 
 
+_BITS = frozenset({0, 1})
+
+
 def _check_bits(bits, width):
-    bits = tuple(int(b) for b in bits)
+    bits = tuple(map(int, bits))
     if len(bits) != width:
         raise ValueError("expected %d bits, got %d" % (width, len(bits)))
-    if any(b not in (0, 1) for b in bits):
+    if not _BITS.issuperset(bits):
         raise ValueError("bits must be 0/1")
     return bits
 
@@ -365,8 +368,11 @@ def basis_descriptor(bits) -> TwoBranchState:
 
 
 def plane_descriptor(phase) -> TwoBranchState:
-    """Single-qubit (|0> + phase|1>)/sqrt(2)."""
-    return TwoBranchState(1, (0,), (1,), phase)
+    """Single-qubit (|0> + phase|1>)/sqrt(2), one shared instance per phase."""
+    return _PLANES[phase_index(complex(phase))]
+
+
+_PLANES = tuple(TwoBranchState(1, (0,), (1,), p) for p in PHASE_GRID)
 
 
 @dataclass(frozen=True)
@@ -535,16 +541,6 @@ def projection_norm(outcome, protocol: str) -> float:
             raise ValueError("state width mismatch for %s projector" % tag)
         return float(abs(np.vdot(tvec, vec)))
     raise ValueError("unknown protocol tag %r" % protocol)
-
-
-def drop_qubits(state: DenseState, qubits, expected_bits) -> DenseState:
-    """Remove qubits known to sit in a basis state (e.g. after measurement)."""
-    wires, block = _block(state, qubits)
-    sub = block[gf2.bits_to_int(_check_bits(expected_bits, len(wires)))]
-    norm = np.linalg.norm(sub)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError("dropped qubits were not classical (mass %g)" % norm**2)
-    return DenseState(sub)
 
 
 def dense_to_two_branch(state: DenseState) -> TwoBranchState:

@@ -61,6 +61,9 @@ class TcfSecret:
     public: TcfPublic = field(repr=False, compare=False, default=None)
 
 
+_ONE = Fraction(1)
+
+
 def _permutation(perm_seed: int, m: int) -> list:
     """Explicit Fisher-Yates table over 2^m entries from a dedicated stream."""
     stream = np.random.Generator(np.random.PCG64(perm_seed))
@@ -80,14 +83,14 @@ def gen(family: str, mu: int, n: int, k: int, delta, seed: int):
     family "plain" ignores mu and requires k=0, delta=1.  family "dual"
     produces the lossy map when mu=1 and the branch-disjoint map when mu=0.
     """
-    delta = Fraction(delta)
+    delta = _ONE if type(delta) is int and delta == 1 else Fraction(delta)
     if n + 2 > 20:
         raise ValueError("n + 2 must stay within the 20-qubit dense budget")
     if n < 1:
         raise ValueError("need at least one input bit")
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    scaled = delta * (1 << k)
+    scaled = 1 << k if delta is _ONE else delta * (1 << k)
     if scaled.denominator != 1:
         raise ValueError("delta * 2^k must be integral")
     rng = np.random.default_rng(seed)
@@ -108,19 +111,21 @@ def gen(family: str, mu: int, n: int, k: int, delta, seed: int):
         # Shift is zero on the k prefix bits (the high ones) and, in lossy
         # mode, nonzero on the rest.
         shift_int = int(rng.integers(1 if mu else 0, 1 << (n - k)))
-        prefix_set = frozenset(int(p) for p in rng.permutation(1 << k)[:int(scaled)])
+        prefix_set = frozenset(rng.permutation(1 << k)[:int(scaled)].tolist())
         perm = _permutation(perm_seed, m)
         # Row b holds F(b, x): in lossy mode the shared claw image
         # x xor b*shift when x's prefix lies in S, else the tagged 1||x||b.
-        table = tuple(
-            tuple(
-                perm[x ^ (b * shift_int)]
-                if mode == "lossy" and x >> (n - k) in prefix_set
-                else perm[(1 << (n + 1)) | (x << 1) | b]
-                for x in range(1 << n)
-            )
-            for b in (0, 1)
-        )
+        row0, row1 = [], []
+        tag, low = 1 << (n + 1), n - k
+        for x in range(1 << n):
+            if mu and x >> low in prefix_set:
+                row0.append(perm[x])
+                row1.append(perm[x ^ shift_int])
+            else:
+                w = tag | (x << 1)
+                row0.append(perm[w])
+                row1.append(perm[w | 1])
+        table = (tuple(row0), tuple(row1))
     else:
         raise ValueError("family must be 'plain' or 'dual'")
 

@@ -49,6 +49,16 @@ def apply_bit_function(state, input_qubits, fn, out_width: int):
     return qsim.DenseState(new)
 
 
+def drop_qubits(state, qubits, expected_bits):
+    """Remove qubits known to sit in a basis state (e.g. after measurement)."""
+    wires, block = qsim._block(state, qubits)
+    sub = block[gf2.bits_to_int(qsim._check_bits(expected_bits, len(wires)))]
+    norm = np.linalg.norm(sub)
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError("dropped qubits were not classical (mass %g)" % norm**2)
+    return qsim.DenseState(sub)
+
+
 def anticommutator_norm(a, b) -> float:
     """Spectral norm of {Z-parity(a), X-parity(b)}: 0 when the overlap is
     odd, 2 when it is even."""

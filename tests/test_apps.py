@@ -450,6 +450,54 @@ def test_poq_verifier_draws_nothing_for_an_image_outside_the_table():
     assert rng.bit_generator.state == before
 
 
+def _disjoint_params(**change):
+    """A valid n = 3 disjoint round-params payload with some fields replaced."""
+    payload = {"round": 0, "n": 3, "m": 5, "mode": "disjoint", "k": 0,
+               "perm_seed": 1, "table": [list(range(8)), list(range(8, 16))]}
+    payload.update(change)
+    return payload
+
+
+@pytest.mark.parametrize("table", [
+    [list(range(8)), [7] * 8],
+    [list(range(7)) + [99], list(range(8, 16))],
+    [list(range(8)), list(range(8, 15)) + [32]],
+    [[-1] + list(range(1, 8)), list(range(8, 16))],
+], ids=["repeated-value", "value-99", "value-2^m", "negative-value"])
+def test_poq_prover_refuses_a_hostile_table_before_it_draws(table):
+    """A row of repeats would make an image with three preimages look like
+    no claw, and a value outside [0, 2^m) would be cut to the wrong image."""
+    with pytest.raises(ValueError, match="distinct values"):
+        apps._params_from_wire(_disjoint_params(table=table))
+    prover = apps.PoqProverParty(rng_for(3))
+    before = prover.rng.bit_generator.state
+    with pytest.raises(ValueError):
+        prover.on_message({"kind": "round-params",
+                           "payload": _disjoint_params(table=table)})
+    assert prover.rng.bit_generator.state == before
+
+
+def test_poq_prover_accepts_a_well_formed_table():
+    pp = apps._params_from_wire(_disjoint_params())
+    assert pp.table == (tuple(range(8)), tuple(range(8, 16)))
+    (evaluation,) = apps.PoqProverParty(rng_for(3)).on_message(
+        {"kind": "round-params", "payload": _disjoint_params()})
+    assert evaluation["kind"] == "evaluation"
+
+
+CALLER_NEXT_RANDOM = 0.4721291715205297
+
+
+def test_honest_rounds_leave_the_callers_stream_pinned():
+    """A round draws from the caller's generator only r, the family seed,
+    the prover's input and readouts, the challenge and the measurement; a
+    family's own stream never shows here."""
+    rng = rng_for(2024)
+    for _ in range(1000):
+        apps.poq_run(rng)
+    assert rng.random() == CALLER_NEXT_RANDOM
+
+
 def _poq_to_challenge(seed=1):
     """A verifier and an honest prover, one round up to the challenge."""
     verifier = apps.PoqVerifierParty(2, rng_for(seed), n=3)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import drop_qubits
 from ospsim import acceptance, gadgets, gf2, osp, qsim
 
 
@@ -106,7 +107,7 @@ def literal_phase_gadget(state, target, b, rng, source):
     work = state.tensor(helper.densify())
     work = qsim.apply_gate(work, "CNOT", [target, n])
     (m,), work = qsim.measure(work, [n], qsim.Basis.Z, rng)
-    return qsim.drop_qubits(work, [n], (m,)), s ^ (m & b), m
+    return drop_qubits(work, [n], (m,)), s ^ (m & b), m
 
 
 def criterion_6_inputs():
@@ -225,9 +226,9 @@ def literal_ecnot_apply(state, v0, v1, helpers, rng):
     work = qsim.apply_gate(work, "CNOT", [q0, v1])
     (m0,), work = qsim.measure(work, [q0], qsim.Basis.X, rng)
     work = qsim.apply_gate(work, "H", [q0])
-    work = qsim.drop_qubits(work, [q0], (m0,))
+    work = drop_qubits(work, [q0], (m0,))
     (m1,), work = qsim.measure(work, [q1 - 1], qsim.Basis.Z, rng)
-    work = qsim.drop_qubits(work, [q1 - 1], (m1,))
+    work = drop_qubits(work, [q1 - 1], (m1,))
     return work, (m0, m1)
 
 

@@ -387,10 +387,16 @@ _REJECTED = "round-params message rejected: ValueError"
      _round_params(table=[list(range(7)), list(range(8, 16))]), _REJECTED),
     ("round-params",
      _round_params(mode="plain", m=3, table=[list(range(8))]), _REJECTED),
+    ("round-params",
+     _round_params(table=[[7] * 8, list(range(8, 16))]), _REJECTED),
+    ("round-params",
+     _round_params(table=[list(range(7)) + [99], list(range(8, 16))]),
+     _REJECTED),
     ("challenge", {"round": 0, "a": 0},
      "challenge message rejected: ValueError: unexpected message kind"),
 ], ids=["unknown-kind", "missing-key", "payload-not-a-dict", "n-64",
-        "non-integer-entry", "short-row", "plain-mode", "challenge-first"])
+        "non-integer-entry", "short-row", "plain-mode", "repeated-value",
+        "value-out-of-range", "challenge-first"])
 def test_party_fault_ends_the_session_with_error(kind, payload, detail):
     sid = harness.session_id("poq", 5)
     msg = harness.Message(sid, 0, "client", kind, payload)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import apply_bit_function
+from oracles import apply_bit_function, drop_qubits
 from ospsim import apps, gf2, osp, qsim, tcf
 
 
@@ -209,7 +209,7 @@ def test_osp_from_csg_dense_oracle():
         d, post = qsim.measure(appended, list(range(n + 1)), qsim.Basis.X, rng)
         for q in range(n + 1):  # rotate the |+->-valued qubits to bits
             post = qsim.apply_gate(post, "H", [q])
-        residual = qsim.drop_qubits(post, list(range(n + 1)), d)
+        residual = drop_qubits(post, list(range(n + 1)), d)
 
         b = gf2.dot(x0, r0) ^ gf2.dot(x1, r1)
         if b == 0:
@@ -255,11 +255,11 @@ def test_two_round_dense_receiver_oracle():
             y, state = qsim.measure(
                 state, list(range(n + 1, n + 1 + pp.m)), qsim.Basis.Z, rng
             )
-            state = qsim.drop_qubits(state, list(range(n + 1, n + 1 + pp.m)), y)
+            state = drop_qubits(state, list(range(n + 1, n + 1 + pp.m)), y)
             d, state = qsim.measure(state, list(range(1, n + 1)), qsim.Basis.X, rng)
             for q in range(1, n + 1):
                 state = qsim.apply_gate(state, "H", [q])
-            residual = qsim.drop_qubits(state, list(range(1, n + 1)), d)
+            residual = drop_qubits(state, list(range(1, n + 1)), d)
 
             if b == 0:
                 branches = tcf.partial_invert(sp, y)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import apply_bit_function, basis_vector, trace_distance
+from oracles import apply_bit_function, basis_vector, drop_qubits, trace_distance
 from ospsim import gf2, qsim
 from ospsim.qsim import (
     AffineBranchState,
@@ -163,6 +163,31 @@ def test_two_branch_basics():
 def test_two_branch_rejects_offgrid_phase():
     with pytest.raises(ValueError):
         TwoBranchState(1, (0,), (1,), complex(0.6, 0.8))
+
+
+def test_two_branch_accepts_numpy_ints_and_bools_as_bits():
+    tb = TwoBranchState(3, np.array([0, 1, 1]), (True, False, np.int8(1)), -1)
+    assert tb.u == (0, 1, 1) and tb.v == (1, 0, 1)
+    assert all(type(b) is int for b in tb.u + tb.v)
+    assert tb == TwoBranchState(3, (0, 1, 1), (1, 0, 1), -1)
+
+
+@pytest.mark.parametrize("v", [(0, 2), (0, -1), (0,), (0, 1, 0)],
+                         ids=["two", "minus-one", "short", "long"])
+def test_two_branch_rejects_a_bad_bit_or_width(v):
+    with pytest.raises(ValueError):
+        TwoBranchState(2, (0, 0), v)
+
+
+def test_plane_descriptor_returns_the_shared_grid_instance():
+    for k, phase in enumerate(qsim.PHASE_GRID):
+        plane = qsim.plane_descriptor(phase)
+        assert plane == TwoBranchState(1, (0,), (1,), phase)
+        assert plane is qsim.plane_descriptor(phase * (1 + 1e-9))
+        assert qsim.phase_index(plane.phase) == k
+    assert qsim.plane_descriptor(1) is qsim.plane_descriptor(np.float64(1.0))
+    with pytest.raises(ValueError):
+        qsim.plane_descriptor(complex(0.6, 0.8))
 
 
 def test_collapse_differing_keep_matches_contract():
@@ -408,11 +433,11 @@ def test_apply_bit_function():
 
 def test_drop_qubits():
     state = DenseState.from_bits((1, 0, 1))
-    out = qsim.drop_qubits(state, (0, 2), (1, 1))
+    out = drop_qubits(state, (0, 2), (1, 1))
     assert out.num_qubits == 1
     assert np.allclose(out.amplitudes, [1, 0])
     with pytest.raises(ValueError):
-        qsim.drop_qubits(DenseState.uniform(2), (0,), (0,))
+        drop_qubits(DenseState.uniform(2), (0,), (0,))
 
 
 # ------------------------------------------- dense kernels vs kron projectors
@@ -583,7 +608,7 @@ def test_drop_qubits_matches_kron_projectors(wires, bits):
                 gf2.bits_to_int([word[q] for q in others])]
     proj = _embed({q: np.diag([1 - b, b]) for q, b in zip(wires, bits)})
     assert np.allclose(proj @ full, full)
-    out = qsim.drop_qubits(DenseState(full), wires, bits)
+    out = drop_qubits(DenseState(full), wires, bits)
     assert out.num_qubits == len(others)
     assert np.allclose(out.amplitudes, rest.amplitudes, atol=1e-12)
 
@@ -603,17 +628,17 @@ def test_every_dense_entry_point_checks_its_wires(wires):
     with pytest.raises(ValueError):
         qsim.measure_observable(state, eye, wires, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        qsim.drop_qubits(DenseState.from_bits((0,) * 4), wires, (0,) * k)
+        drop_qubits(DenseState.from_bits((0,) * 4), wires, (0,) * k)
 
 
 def test_bit_and_operator_sizes_must_fit_the_wires():
     basis_state = DenseState.from_bits((0, 1, 0))
     with pytest.raises(ValueError):
-        qsim.drop_qubits(basis_state, [0], (0, 1))
+        drop_qubits(basis_state, [0], (0, 1))
     with pytest.raises(ValueError):
-        qsim.drop_qubits(basis_state, [0, 1], (0,))
+        drop_qubits(basis_state, [0, 1], (0,))
     with pytest.raises(ValueError):
-        qsim.drop_qubits(basis_state, [0], (2,))
+        drop_qubits(basis_state, [0], (2,))
     with pytest.raises(ValueError):
         qsim.apply_gate(basis_state, "CNOT", [0])
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from oracles import apply_bit_function
+from oracles import apply_bit_function, drop_qubits
 from ospsim import gf2, qsim, tcf
 
 
@@ -207,7 +207,7 @@ def test_post_measurement_claw_state_dense_oracle():
     )
     y_qubits = tuple(range(4, 4 + pp.m))
     y_bits, post = qsim.measure(total, y_qubits, qsim.Basis.Z, rng)
-    remaining = qsim.drop_qubits(post, y_qubits, y_bits)
+    remaining = drop_qubits(post, y_qubits, y_bits)
     claw = tcf.claw_invert(sp, y_bits)
     assert claw is not None  # delta = 1: every image is a claw image
     x0, x1 = claw
