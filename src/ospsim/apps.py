@@ -94,14 +94,7 @@ def _params_from_wire(payload) -> tcf.TcfPublic:
     if any(min(row) < 0 or max(row) >= 1 << m or len(set(row)) != len(row)
            for row in table):
         raise ValueError("round-params rows must hold distinct values in [0, 2^m)")
-    return tcf.TcfPublic(
-        n=n,
-        m=m,
-        mode=mode,
-        k=int(payload["k"]),
-        perm_seed=int(payload["perm_seed"]),
-        table=table,
-    )
+    return tcf.TcfPublic(n=n, m=m, mode=mode, k=int(payload["k"]), table=table)
 
 
 # ---------------------------------------------------------- quantumness test

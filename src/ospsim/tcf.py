@@ -16,9 +16,19 @@ toy families provide is the exact combinatorial structure the protocols
 need: balanced claws, a claw fraction of exactly delta, and a branch parity
 decodable from the trapdoor.
 
+Each family draws from one PCG64 stream, numpy.random.default_rng(seed),
+in this order:
+
+1. the shift: integers(1, 2^n) for the plain family; for the dual family
+   integers(mu, 2^(n-k)), so it is zero on the k prefix bits and, in lossy
+   mode, nonzero on the rest;
+2. dual family only: the prefix set S, the first delta*2^k entries of
+   permutation(2^k);
+3. pi, as permutation(2^m).
+
 Tables are tuples of int rows read as table[b][x] (the plain family has one
-row); numpy serves only the PCG64 streams.  decode(sp, y) = pi^-1(y) is the
-one trapdoor lookup, and the three inverters read their answers off it.
+row); numpy serves only that stream.  decode(sp, y) = pi^-1(y) is the one
+trapdoor lookup, and the three inverters read their answers off it.
 """
 
 from __future__ import annotations
@@ -30,6 +40,8 @@ import numpy as np
 
 from . import gf2
 
+_ONE = Fraction(1)
+
 
 @dataclass(frozen=True)
 class TcfPublic:
@@ -39,7 +51,6 @@ class TcfPublic:
     m: int
     mode: str  # plain | disjoint | lossy
     k: int
-    perm_seed: int
     table: tuple = field(repr=False, compare=False)  # int rows, table[b][x]
 
     def serialize(self) -> dict:
@@ -48,7 +59,6 @@ class TcfPublic:
             "m": self.m,
             "mode": self.mode,
             "k": self.k,
-            "perm_seed": self.perm_seed,
         }
 
 
@@ -57,24 +67,8 @@ class TcfSecret:
     shift: tuple
     prefix_set: frozenset  # k-bit ints
     perm_inverse: tuple = field(repr=False, compare=False)
-    delta_param: Fraction = Fraction(1)
+    delta_param: Fraction = _ONE
     public: TcfPublic = field(repr=False, compare=False, default=None)
-
-
-_ONE = Fraction(1)
-
-
-def _permutation(perm_seed: int, m: int) -> list:
-    """Explicit Fisher-Yates table over 2^m entries from a dedicated stream."""
-    stream = np.random.Generator(np.random.PCG64(perm_seed))
-    size = 1 << m
-    # One draw per swap, in loop order; an array of bounds consumes the
-    # stream exactly as the scalar calls integers(0, i + 1) would.
-    swaps = stream.integers(0, np.arange(size, 1, -1)).tolist()
-    table = list(range(size))
-    for i, j in zip(range(size - 1, 0, -1), swaps):
-        table[i], table[j] = table[j], table[i]
-    return table
 
 
 def gen(family: str, mu: int, n: int, k: int, delta, seed: int):
@@ -90,20 +84,16 @@ def gen(family: str, mu: int, n: int, k: int, delta, seed: int):
         raise ValueError("need at least one input bit")
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    scaled = 1 << k if delta is _ONE else delta * (1 << k)
+    scaled = delta * (1 << k)
     if scaled.denominator != 1:
         raise ValueError("delta * 2^k must be integral")
     rng = np.random.default_rng(seed)
-    perm_seed = int(rng.integers(0, 1 << 63))
-
     if family == "plain":
         if k != 0 or delta != 1:
             raise ValueError("plain family supports only k=0, delta=1")
         mode, m = "plain", n
         shift_int = int(rng.integers(1, 1 << n))
         prefix_set = frozenset({0})
-        perm = _permutation(perm_seed, m)
-        table = (tuple(perm[min(x, x ^ shift_int)] for x in range(1 << n)),)
     elif family == "dual":
         if k >= n and mu:
             raise ValueError("lossy mode needs at least one non-prefix bit")
@@ -112,7 +102,13 @@ def gen(family: str, mu: int, n: int, k: int, delta, seed: int):
         # mode, nonzero on the rest.
         shift_int = int(rng.integers(1 if mu else 0, 1 << (n - k)))
         prefix_set = frozenset(rng.permutation(1 << k)[:int(scaled)].tolist())
-        perm = _permutation(perm_seed, m)
+    else:
+        raise ValueError("family must be 'plain' or 'dual'")
+    perm = rng.permutation(1 << m).tolist()
+
+    if mode == "plain":
+        table = (tuple(perm[min(x, x ^ shift_int)] for x in range(1 << n)),)
+    else:
         # Row b holds F(b, x): in lossy mode the shared claw image
         # x xor b*shift when x's prefix lies in S, else the tagged 1||x||b.
         row0, row1 = [], []
@@ -126,13 +122,11 @@ def gen(family: str, mu: int, n: int, k: int, delta, seed: int):
                 row0.append(perm[w])
                 row1.append(perm[w | 1])
         table = (tuple(row0), tuple(row1))
-    else:
-        raise ValueError("family must be 'plain' or 'dual'")
 
     perm_inverse = [0] * len(perm)
     for w, y in enumerate(perm):
         perm_inverse[y] = w
-    pp = TcfPublic(n=n, m=m, mode=mode, k=k, perm_seed=perm_seed, table=table)
+    pp = TcfPublic(n=n, m=m, mode=mode, k=k, table=table)
     sp = TcfSecret(
         shift=gf2.int_to_bits(shift_int, n),
         prefix_set=prefix_set,

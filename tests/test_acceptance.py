@@ -15,13 +15,13 @@ import re
 from ospsim import acceptance
 
 DETAIL_PINNED = {
-    1: "rate=0.85423 target=0.85355 |gap|=0.00068 (cap 60s)",
-    2: "branch=0.7504 zero=0.4988 uniform=0.5020 (cap 0.76); rewind 100/100",
-    3: ("all norms 1 within 1e-9; aborts: lossy=70/1000 amplified=65/1000 "
-        "epsilon-starved=64/2000"),
-    4: "chi-square p: b=0 0.7642, b=1 0.7039 (floor 0.001)",
+    1: "rate=0.85369 target=0.85355 |gap|=0.00014 (cap 60s)",
+    2: "branch=0.7505 zero=0.4940 uniform=0.4963 (cap 0.76); rewind 100/100",
+    3: ("all norms 1 within 1e-9; aborts: lossy=60/1000 amplified=66/1000 "
+        "epsilon-starved=67/2000"),
+    4: "chi-square p: b=0 0.7642, b=1 0.5093 (floor 0.001)",
     5: ("TVD=0.0130/0.0134/0.0053 (cap 0.02), worst residual fidelity "
-        "2.22e-16, 43 support scans"),
+        "2.22e-16, 42 support scans"),
     6: ("136 inputs per power: cnot fidelity >= 1.000000000000, "
         "phase >= 1.000000000000, key table consistent"),
     7: ("100 circuits, min fidelity 1.000000000; classical round exact; "

@@ -367,7 +367,7 @@ def _serve_against(protocol, config, turn, seed=5):
 def _round_params(**change):
     """A well-formed n = 3 round-params payload with some fields replaced."""
     payload = {"round": 0, "n": 3, "m": 5, "mode": "disjoint", "k": 0,
-               "perm_seed": 1, "table": [list(range(8)), list(range(8, 16))]}
+               "table": [list(range(8)), list(range(8, 16))]}
     payload.update(change)
     return payload
 
@@ -726,8 +726,8 @@ def _record(protocol, seed):
     return {role: bytes(data) for role, data in written.items()}
 
 
-HONEST_WIRE = ("b52795654b161bfb6116dda6e816d9c2"
-               "9dbac046aa8b73f2012134f2fa514ef6")  # as the two-parser code wrote
+HONEST_WIRE = ("31246303150e2a7248f792e982076ba7"
+               "a936faf4e82f7132b6265ffa8f529757")
 
 
 def test_honest_wire_bytes_are_pinned():

@@ -500,7 +500,7 @@ def test_epsilon_pipeline_with_protocol_source():
 # ------------------------------------------------------------- pinned stream
 
 
-OSP_PINNED = "0b0d3c997648063b311d15c81bb559f7b6c1ece7f4d175d89ab340fd405fbed7"
+OSP_PINNED = "3a48688fccbe3027ebdc83017b057371bbe15905aa1b1cc792f2ecd328155ca5"
 
 
 def _osp_digest() -> str:

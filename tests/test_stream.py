@@ -17,7 +17,7 @@ import numpy as np
 
 from ospsim import apps, cvqc, gadgets, harness, qsim
 
-PINNED = "3975d82b36d7a7401031a174573c1a986c4e567f39fe5e449d2f85bc7acfefb9"
+PINNED = "7bd382528977b8a049972d6af8236ff398b4bb08a261fc0f90c1827c09c1c09c"
 APPLY_GATE_PINNED = 1261
 GADGET_PINNED = "e7cb8cbd3236658aef18f974996d492397c469d3e552037811c582448137ad59"
 

@@ -237,7 +237,7 @@ def test_claw_oracle_size_limit():
 def test_serialization_schema():
     pp, _ = tcf.gen("dual", 1, 4, 1, Fraction(1, 2), 67)
     pub = pp.serialize()
-    assert set(pub) == {"n", "m", "mode", "k", "perm_seed"}
+    assert set(pub) == {"n", "m", "mode", "k"}
     assert pub["mode"] == "lossy" and pub["m"] == 6
 
 
@@ -252,9 +252,9 @@ def test_gen_is_deterministic():
 # ------------------------------------------------------------ pinned outputs
 
 TCF_PINNED = {
-    "disjoint": "354f767786bc9f57cae70f719fd7a612a38e0163c34df2c48abbc46e28eeddce",
-    "lossy": "797c7854ea8d27151495a4db6ca69b66de03f9db745bf6d4e2c4c8378aa78b74",
-    "plain": "c44d4c48d04fcfd5086d053a01bd4c7c8ccf3e96ab57c048ac4c57d812bb600b",
+    "disjoint": "f65ef6020855f8931b03baf4c7598437d887eb508ed1679d9666c26652ca73f0",
+    "lossy": "75519a24e90622eb2a34fcf519c910e2b941e68e767591f60e6a33424e5b6f96",
+    "plain": "835281508c50d30dbe73d4c564ce331610d55ff1b1bdaba3ae581280a914c672",
 }
 
 
@@ -299,3 +299,40 @@ def _public_digest(kind) -> str:
 @pytest.mark.parametrize("kind", sorted(TCF_PINNED))
 def test_seeded_families_match_the_pinned_digest(kind):
     assert _public_digest(kind) == TCF_PINNED[kind]
+
+
+def _replayed(family, mu, n, k, delta, seed):
+    """The family gen(seed) documents, rebuilt from default_rng(seed) in
+    its draw order: shift, prefix set, then the permutation pi."""
+    rng = np.random.default_rng(seed)
+    if family == "plain":
+        shift = int(rng.integers(1, 1 << n))
+        prefix, m = {0}, n
+    else:
+        shift = int(rng.integers(mu, 1 << (n - k)))
+        prefix = set(rng.permutation(1 << k)[:int(delta * (1 << k))].tolist())
+        m = n + 2
+    return shift, prefix, rng.permutation(1 << m).tolist()
+
+
+@pytest.mark.parametrize("kind", sorted(TCF_PINNED))
+def test_seeded_families_follow_the_documented_draw_order(kind):
+    for family, mu, n, k, delta in _pinned_configs(kind):
+        for seed in (0, 1, 2):
+            pp, sp = tcf.gen(family, mu, n, k, delta, 1000 * n + seed)
+            shift, prefix, perm = _replayed(family, mu, n, k, delta,
+                                            1000 * n + seed)
+            assert sp.shift == gf2.int_to_bits(shift, n)
+            assert sp.prefix_set == prefix
+            for b, row in enumerate(pp.table):
+                for x, y in enumerate(row):
+                    if family == "plain":
+                        w = min(x, x ^ shift)
+                    elif mu and x >> (n - k) in prefix:
+                        w = x ^ (b * shift)
+                    else:
+                        w = (1 << (n + 1)) | (x << 1) | b
+                    assert y == perm[w]
+            for w, y in enumerate(perm):
+                assert sp.perm_inverse[y] == w
+                assert tcf.decode(sp, gf2.int_to_bits(y, pp.m)) == w
