@@ -14,7 +14,9 @@ pins down everything needed to make two runs comparable byte for byte:
   reproduce exactly.
 
 Sessions over a socket open with one hello frame from each side, then
-alternate turns.  A turn is zero or more frames closed by a turn marker;
+alternate turns.  The hello carries HARNESS_VERSION, which changes with
+the framing or any message payload schema, so a peer of another version
+is refused at the hello rather than partway through a session.  A turn is zero or more frames closed by a turn marker;
 the session ends when both sides send an empty turn back to back.  One
 connection carries one session.  Whatever bytes a peer sends, a session
 ends with a transcript of status complete, error, timeout or
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import apps
 
-HARNESS_VERSION = 1
+HARNESS_VERSION = 2
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 ROLES = ("client", "server")
 

@@ -177,8 +177,8 @@ def two_round_receiver(pp, rng):
         raise ValueError("two-round receiver needs the dual-mode family")
     b_in = int(rng.integers(0, 2))
     x = rng.integers(0, 2, n).tolist()
-    y_int = pp.table[b_in][gf2.bits_to_int(x)]
-    y = gf2.int_to_bits(y_int, pp.m)
+    y = tcf.eval(pp, b_in, x)
+    y_int = gf2.bits_to_int(y)
     # Each row holds distinct values, so an image has at most one
     # preimage per branch.
     pre = [(b, row.index(y_int)) for b, row in enumerate(pp.table)

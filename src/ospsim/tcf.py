@@ -40,8 +40,6 @@ import numpy as np
 
 from . import gf2
 
-_ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class TcfPublic:
@@ -67,7 +65,7 @@ class TcfSecret:
     shift: tuple
     prefix_set: frozenset  # k-bit ints
     perm_inverse: tuple = field(repr=False, compare=False)
-    delta_param: Fraction = _ONE
+    delta_param: Fraction = Fraction(1)
     public: TcfPublic = field(repr=False, compare=False, default=None)
 
 
@@ -77,7 +75,7 @@ def gen(family: str, mu: int, n: int, k: int, delta, seed: int):
     family "plain" ignores mu and requires k=0, delta=1.  family "dual"
     produces the lossy map when mu=1 and the branch-disjoint map when mu=0.
     """
-    delta = _ONE if type(delta) is int and delta == 1 else Fraction(delta)
+    delta = Fraction(delta)
     if n + 2 > 20:
         raise ValueError("n + 2 must stay within the 20-qubit dense budget")
     if n < 1:
@@ -139,7 +137,7 @@ def gen(family: str, mu: int, n: int, k: int, delta, seed: int):
 
 def eval(pp: TcfPublic, b: int, x) -> tuple:
     """Evaluate the family map; b is ignored for the plain family."""
-    x = tuple(int(v) for v in x)
+    x = tuple(map(int, x))
     if len(x) != pp.n:
         raise ValueError("input must have %d bits" % pp.n)
     row = pp.table[0] if pp.mode == "plain" else pp.table[int(b) & 1]

@@ -255,6 +255,21 @@ def test_version_mismatch_reported():
     assert "version" in box["server"].outcome["detail"]
 
 
+@pytest.mark.parametrize("role", harness.ROLES)
+def test_a_peer_of_the_previous_version_is_refused_at_the_hello(role):
+    # Version 1 round-params carried perm_seed; such a peer must stop at the
+    # hello, not partway through a round.
+    hello = harness._encode_frame({"harness": harness.HARNESS_VERSION - 1,
+                                   "protocol": "poq",
+                                   "session": harness.session_id("poq", 5),
+                                   "seed": 5})
+    transcript = _session_over_socketpair("poq", role,
+                                          hello + harness._TURN_END * 2)
+    assert transcript.outcome["status"] == "error"
+    assert transcript.outcome["detail"].startswith("harness version mismatch")
+    assert transcript.messages == []
+
+
 def test_timeout_aborts_cleanly():
     listener = harness.open_listener("127.0.0.1", 0)
     port = listener.getsockname()[1]
@@ -726,8 +741,8 @@ def _record(protocol, seed):
     return {role: bytes(data) for role, data in written.items()}
 
 
-HONEST_WIRE = ("31246303150e2a7248f792e982076ba7"
-               "a936faf4e82f7132b6265ffa8f529757")
+HONEST_WIRE = ("65644c8bb8f2997b41c42927becd2046"
+               "bdf98a0e47ff019c4bae6478b7e40388")
 
 
 def test_honest_wire_bytes_are_pinned():
