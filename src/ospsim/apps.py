@@ -5,8 +5,6 @@ The pieces here stay at desk scale but run the real message flows:
 - an interactive quantumness test (honest quantum prover vs scripted
   classical ones), with the rewinding extractor that recovers the hidden
   basis bit from any good classical prover
-- a linear-predictor extractor that reads a claw pair off an oracle for
-  inner products against chosen masks
 - non-interactive one-of-two puzzles with two verification profiles
 - a weakly binding bit commitment plus an exhaustive binding probe
 - one-out-of-two oblivious transfer in both variants, with cut-and-choose
@@ -233,57 +231,6 @@ def rewind_extract(prover, rng, n: int = 3) -> RewindResult:
     return RewindResult(b0 ^ b1, r, b0, b1, s)
 
 
-# ------------------------------------------------- linear-predictor recovery
-
-
-def gl_extract(oracle, n: int, rng, repetitions: int = 1):
-    """Read a claw pair (x0, x1) off an inner-product predictor.
-
-    The oracle takes masks (r0, r1) and predicts dot(x0,r0) xor
-    dot(x1,r1).  With repetitions == 1 the bits come from unit-mask
-    queries offset by the all-zero query, which is exact for any
-    deterministic affine oracle.  With more repetitions each bit is
-    majority-voted from paired queries at random offsets, which tolerates
-    a noisy oracle.
-    """
-    width = 2 * n
-
-    def ask(bits):
-        return int(oracle(tuple(bits[:n]), tuple(bits[n:]))) & 1
-
-    out = []
-    if repetitions <= 1:
-        base = ask([0] * width)
-        for i in range(width):
-            unit = [0] * width
-            unit[i] = 1
-            out.append(ask(unit) ^ base)
-    else:
-        for i in range(width):
-            votes = 0
-            for _ in range(repetitions):
-                u = [int(t) for t in rng.integers(0, 2, width)]
-                w = list(u)
-                w[i] ^= 1
-                votes += ask(u) ^ ask(w)
-            out.append(1 if 2 * votes > repetitions else 0)
-    return tuple(out[:n]), tuple(out[n:])
-
-
-def claw_predictor(x0, x1, noise: float = 0.0, rng=None):
-    """Oracle for gl_extract built from a known claw; optionally noisy."""
-    x0 = tuple(int(b) for b in x0)
-    x1 = tuple(int(b) for b in x1)
-
-    def oracle(r0, r1):
-        bit = gf2.dot(x0, r0) ^ gf2.dot(x1, r1)
-        if noise > 0.0 and rng.random() < noise:
-            bit ^= 1
-        return bit
-
-    return oracle
-
-
 # ----------------------------------------------------------- 1-of-2 puzzles
 
 
@@ -395,22 +342,6 @@ def puzzle_roundtrip(lam: int, threshold: float, challenge: int, rng,
             "verdict": verdict, "fraction": fraction}
 
 
-def puzzle_replay_attack(lam: int, threshold: float, rng,
-                         source: str = "ideal", n: int = 2) -> dict:
-    """Solve once, replay the same classical answers for both challenges.
-
-    The answer vector satisfies one challenge's targets; the other
-    challenge flips every target iff r = 1, so the replay passes both
-    only when r = 0 (or by statistical accident).
-    """
-    keys = puzzle_keygen(lam, rng, threshold, source, n)
-    obligation = puzzle_obligate(keys, rng)
-    answers = puzzle_solve(obligation, 0, rng)
-    ok0, f0 = puzzle_verify(keys, obligation, answers, 0)
-    ok1, f1 = puzzle_verify(keys, obligation, answers, 1)
-    return {"r": keys.r, "both": ok0 and ok1, "fractions": (f0, f1)}
-
-
 # ------------------------------------------------------- weak bit commitment
 
 
@@ -506,15 +437,6 @@ def _open_with_seed(com, seed):
         return None, seed
     mask = stream[_PRG_TAG_BYTES:]
     return tuple(m ^ (s & 1) for m, s in zip(com["masked"], mask)), seed
-
-
-def toy_extract(com):
-    """Walk the whole seed space; the tag pins the seed in practice."""
-    for seed in range(1 << _PRG_SEED_BITS):
-        bits, _ = _open_with_seed(com, seed)
-        if bits is not None:
-            return bits
-    return None
 
 
 # ------------------------------------------------- 1-of-2 oblivious transfer

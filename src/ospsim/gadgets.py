@@ -10,8 +10,11 @@ circuit leaves on the data is one operator on the data wires.  The phase
 gadget is phase_readout: it returns its diagonal with the keys, and the
 caller applies it to the target wire (delegation folds it into the T or
 TDG it stands for).  The CNOT gadget applies its 4x4 block on the pair
-itself.  Both closed forms are checked against their literal circuits in
-the tests.
+itself.  Claw generation from switched CNOTs simulates no state at all:
+csg_from_ecnot reads the receiver's branch pair off the client's keys.
+All three closed forms are checked against their literal circuits in the
+tests; the dense claw-generation circuit is the oracle in
+tests/oracles.py.
 
 Each uniform readout bit is int(rng.random() >= 0.5), the draw of
 qsim.draw_index on p = [1/2, 1/2] written inline (its docstring shows why
@@ -72,13 +75,22 @@ class EcnotClient:
 
 
 def ecnot_gen(b: int, rng, source=None):
-    """Prepare the two helper qubits: H^b|t0> and H^{1-b}|t1>."""
+    """Prepare the two helper qubits: H^b|t0> and H^{1-b}|t1>.
+
+    The keys ecnot_dec computes are right only if each helper is the
+    canonical H^b|s> for the bit s its source reported, so any other
+    helper raises ValueError.
+    """
     if b not in (0, 1):
         raise ValueError("switch bit must be 0 or 1")
     if source is None:
         source = osp.ideal_stub_source
     t0, helper0 = source(b, rng)
     t1, helper1 = source(1 - b, rng)
+    if (helper0 != osp.PREPARED_STATES.get((b == 0, t0))
+            or helper1 != osp.PREPARED_STATES.get((b == 1, t1))):
+        raise ValueError("source helper is not H^b|s> for the bit s it "
+                         "reported")
     return EcnotClient(b, t0, t1), (helper0, helper1)
 
 
@@ -139,11 +151,14 @@ def ecnot_run(state: qsim.DenseState, v0: int, v1: int, b: int, rng,
     client, helpers = ecnot_gen(b, rng, source)
     out_state, (m0, m1) = ecnot_apply(state, v0, v1, helpers, rng)
     x_keys, z_keys = ecnot_dec(client.b, client.t0, client.t1, m0, m1)
-    transcript = [
+    return EcnotResult(out_state, x_keys, z_keys, _ecnot_transcript(m0, m1))
+
+
+def _ecnot_transcript(m0: int, m1: int) -> list:
+    return [
         {"role": "client", "kind": "helper-qubits", "payload": {}},
         {"role": "server", "kind": "cnot-outcomes", "payload": {"m0": m0, "m1": m1}},
     ]
-    return EcnotResult(out_state, x_keys, z_keys, transcript)
 
 
 # ------------------------------------------- claw states from switched CNOTs
@@ -154,8 +169,11 @@ def csg_from_ecnot(n: int, rng, source=None) -> osp.CsgOutcome:
 
     The client picks a nonzero difference vector and fires one gadget per
     output qubit from a shared |+> control.  Undoing nothing, the server
-    ends in a two-branch state whose claw and phase the client computes
-    from its keys alone.
+    ends in (|0,x0> + (-1)^z |1,x1>)/sqrt(2), whose claw and phase the
+    client computes from its keys alone.  So the receiver's branch pair is
+    read off the keys, with no state simulated: per target this makes
+    ecnot_gen's two source draws and then ecnot_apply's draws of m0 and
+    m1, as the literal circuit does (tests/oracles.py runs that circuit).
     """
     if n < 1:
         raise ValueError("need at least one target qubit")
@@ -165,26 +183,23 @@ def csg_from_ecnot(n: int, rng, source=None) -> osp.CsgOutcome:
     while not any(delta):
         delta = tuple(int(t) for t in rng.integers(0, 2, n))
 
-    state = qsim.DenseState.from_bits((0,) * (n + 1))
-    state = qsim.apply_gate(state, "H", [0])
-    x_acc = [0] * (n + 1)
-    z_acc = [0] * (n + 1)
+    # ecnot_dec never keys an X on the control or a Z on a target, so the
+    # control keeps branch 0 first and each target's X key is its x0 bit.
+    x0 = []
+    z = 0
     transcript = []
-    for i in range(n):
-        res = ecnot_run(state, 0, 1 + i, delta[i], rng, source)
-        state = res.state
-        x_acc[0] ^= res.x_keys[0]
-        x_acc[1 + i] ^= res.x_keys[1]
-        z_acc[0] ^= res.z_keys[0]
-        z_acc[1 + i] ^= res.z_keys[1]
-        transcript.extend(res.transcript)
+    for d in delta:
+        client, _ = ecnot_gen(d, rng, source)
+        m0 = int(rng.random() >= 0.5)
+        m1 = int(rng.random() >= 0.5)
+        (_, x_key), (z_key, _) = ecnot_dec(client.b, client.t0, client.t1,
+                                           m0, m1)
+        x0.append(x_key)
+        z ^= z_key
+        transcript.extend(_ecnot_transcript(m0, m1))
 
-    r0 = x_acc[0]
-    r = tuple(x_acc[1:])
-    x0 = tuple(r[i] ^ (r0 & delta[i]) for i in range(n))
-    x1 = tuple(r[i] ^ ((1 ^ r0) & delta[i]) for i in range(n))
-    z = z_acc[0]
-    for i in range(n):
-        z ^= z_acc[1 + i] & delta[i]
-    receiver = qsim.dense_to_two_branch(state)
+    x0 = tuple(x0)
+    x1 = tuple(x ^ d for x, d in zip(x0, delta))
+    receiver = qsim.TwoBranchState(n + 1, (0,) + x0, (1,) + x1,
+                                   -1.0 if z else 1.0)
     return osp.CsgOutcome(x0, x1, z, receiver, transcript, differentiated=True)

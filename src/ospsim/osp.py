@@ -351,16 +351,17 @@ def amplified_two_round_osp(b: int, lam: int, rng, n: int = 2, k: int = 1,
 # ------------------------------------------------------------ OSP sources
 
 
-# H^b|s> keyed by (b == 0, s): the only four states the stub hands out.
-_STUB_STATES = {(b0, s): qsim.basis_descriptor((s,)) if b0
-                else qsim.plane_descriptor(-1 if s else 1)
-                for b0 in (True, False) for s in (0, 1)}
+# H^b|s> keyed by (b == 0, s): the only four states the stub hands out,
+# and the only helpers gadgets.ecnot_gen accepts from any source.
+PREPARED_STATES = {(b0, s): qsim.basis_descriptor((s,)) if b0
+                   else qsim.plane_descriptor(-1 if s else 1)
+                   for b0 in (True, False) for s in (0, 1)}
 
 
 def ideal_stub_source(b: int, rng):
     """Hand the receiver H^b|s> directly; isolates downstream logic."""
     s = int(rng.integers(0, 2))
-    return s, _STUB_STATES[b == 0, s]
+    return s, PREPARED_STATES[b == 0, s]
 
 
 def tcf_two_round_source(n: int = 3):

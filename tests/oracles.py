@@ -6,7 +6,7 @@ against; none of them is on a protocol path.
 
 import numpy as np
 
-from ospsim import cvqc, gf2, qsim
+from ospsim import cvqc, gadgets, gf2, osp, qsim
 
 
 def basis_vector(basis, outcome: int) -> np.ndarray:
@@ -69,3 +69,40 @@ def anticommutator_norm(a, b) -> float:
     za = cvqc.pauli_string("Z", a)
     xb = cvqc.pauli_string("X", b)
     return float(np.linalg.norm(za @ xb + xb @ za, 2))
+
+
+def dense_csg_from_ecnot(n: int, rng, source=None) -> osp.CsgOutcome:
+    """The literal circuit gadgets.csg_from_ecnot stands for: n switched
+    CNOTs from a |+> control on an (n+1)-qubit dense state, read back as
+    a branch pair."""
+    if n < 1:
+        raise ValueError("need at least one target qubit")
+    if n + 1 > qsim.MAX_DENSE_QUBITS:
+        raise ValueError("claw width exceeds the dense simulation budget")
+    delta = tuple(int(t) for t in rng.integers(0, 2, n))
+    while not any(delta):
+        delta = tuple(int(t) for t in rng.integers(0, 2, n))
+
+    state = qsim.DenseState.from_bits((0,) * (n + 1))
+    state = qsim.apply_gate(state, "H", [0])
+    x_acc = [0] * (n + 1)
+    z_acc = [0] * (n + 1)
+    transcript = []
+    for i in range(n):
+        res = gadgets.ecnot_run(state, 0, 1 + i, delta[i], rng, source)
+        state = res.state
+        x_acc[0] ^= res.x_keys[0]
+        x_acc[1 + i] ^= res.x_keys[1]
+        z_acc[0] ^= res.z_keys[0]
+        z_acc[1 + i] ^= res.z_keys[1]
+        transcript.extend(res.transcript)
+
+    r0 = x_acc[0]
+    r = tuple(x_acc[1:])
+    x0 = tuple(r[i] ^ (r0 & delta[i]) for i in range(n))
+    x1 = tuple(r[i] ^ ((1 ^ r0) & delta[i]) for i in range(n))
+    z = z_acc[0]
+    for i in range(n):
+        z ^= z_acc[1 + i] & delta[i]
+    receiver = qsim.dense_to_two_branch(state)
+    return osp.CsgOutcome(x0, x1, z, receiver, transcript, differentiated=True)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ospsim import apps, gadgets, harness, osp, qsim, tcf
+from ospsim import apps, gadgets, gf2, harness, osp, qsim, tcf
 
 COS2 = (2.0 + math.sqrt(2.0)) / 4.0
 
@@ -82,13 +82,61 @@ def test_rewind_accuracy_prover_beats_union_bound():
 # -------------------------------------------------- linear-predictor demo
 
 
+def gl_extract(oracle, n: int, rng, repetitions: int = 1):
+    """Read a claw pair (x0, x1) off an inner-product predictor.
+
+    The oracle takes masks (r0, r1) and predicts dot(x0,r0) xor
+    dot(x1,r1).  With repetitions == 1 the bits come from unit-mask
+    queries offset by the all-zero query, which is exact for any
+    deterministic affine oracle.  With more repetitions each bit is
+    majority-voted from paired queries at random offsets, which tolerates
+    a noisy oracle.
+    """
+    width = 2 * n
+
+    def ask(bits):
+        return int(oracle(tuple(bits[:n]), tuple(bits[n:]))) & 1
+
+    out = []
+    if repetitions <= 1:
+        base = ask([0] * width)
+        for i in range(width):
+            unit = [0] * width
+            unit[i] = 1
+            out.append(ask(unit) ^ base)
+    else:
+        for i in range(width):
+            votes = 0
+            for _ in range(repetitions):
+                u = [int(t) for t in rng.integers(0, 2, width)]
+                w = list(u)
+                w[i] ^= 1
+                votes += ask(u) ^ ask(w)
+            out.append(1 if 2 * votes > repetitions else 0)
+    return tuple(out[:n]), tuple(out[n:])
+
+
+def claw_predictor(x0, x1, noise: float = 0.0, rng=None):
+    """Oracle for gl_extract built from a known claw; optionally noisy."""
+    x0 = tuple(int(b) for b in x0)
+    x1 = tuple(int(b) for b in x1)
+
+    def oracle(r0, r1):
+        bit = gf2.dot(x0, r0) ^ gf2.dot(x1, r1)
+        if noise > 0.0 and rng.random() < noise:
+            bit ^= 1
+        return bit
+
+    return oracle
+
+
 def test_gl_noiseless_exact_recovery():
     rng = rng_for(21)
     for _ in range(100):
         x0 = tuple(int(t) for t in rng.integers(0, 2, 6))
         x1 = tuple(int(t) for t in rng.integers(0, 2, 6))
-        oracle = apps.claw_predictor(x0, x1)
-        assert apps.gl_extract(oracle, 6, rng) == (x0, x1)
+        oracle = claw_predictor(x0, x1)
+        assert gl_extract(oracle, 6, rng) == (x0, x1)
 
 
 def test_gl_recovers_family_claw():
@@ -97,8 +145,8 @@ def test_gl_recovers_family_claw():
     x = tuple(int(t) for t in rng.integers(0, 2, 6))
     y = tcf.eval(pp, 0, x)
     x0, x1 = tcf.claw_invert(sp, y)
-    oracle = apps.claw_predictor(x0, x1)
-    assert apps.gl_extract(oracle, 6, rng) == (x0, x1)
+    oracle = claw_predictor(x0, x1)
+    assert gl_extract(oracle, 6, rng) == (x0, x1)
 
 
 def test_gl_zero_advantage_is_chance():
@@ -108,7 +156,7 @@ def test_gl_zero_advantage_is_chance():
         x0 = tuple(int(t) for t in rng.integers(0, 2, 3))
         x1 = tuple(int(t) for t in rng.integers(0, 2, 3))
         oracle = lambda r0, r1: int(rng.integers(0, 2))
-        hits += apps.gl_extract(oracle, 3, rng) == (x0, x1)
+        hits += gl_extract(oracle, 3, rng) == (x0, x1)
     assert hits / 200 <= 0.1
 
 
@@ -118,8 +166,8 @@ def test_gl_majority_vote_handles_noise():
     for _ in range(100):
         x0 = tuple(int(t) for t in rng.integers(0, 2, 6))
         x1 = tuple(int(t) for t in rng.integers(0, 2, 6))
-        oracle = apps.claw_predictor(x0, x1, noise=0.10, rng=rng)
-        good += apps.gl_extract(oracle, 6, rng, repetitions=64) == (x0, x1)
+        oracle = claw_predictor(x0, x1, noise=0.10, rng=rng)
+        good += gl_extract(oracle, 6, rng, repetitions=64) == (x0, x1)
     assert good >= 90
 
 
@@ -161,11 +209,27 @@ def test_puzzle_verify_matches_manual_targets():
     assert fraction == manual / 32
 
 
+def puzzle_replay_attack(lam: int, threshold: float, rng,
+                         source: str = "ideal", n: int = 2) -> dict:
+    """Solve once, replay the same classical answers for both challenges.
+
+    The answer vector satisfies one challenge's targets; the other
+    challenge flips every target iff r = 1, so the replay passes both
+    only when r = 0 (or by statistical accident).
+    """
+    keys = apps.puzzle_keygen(lam, rng, threshold, source, n)
+    obligation = apps.puzzle_obligate(keys, rng)
+    answers = apps.puzzle_solve(obligation, 0, rng)
+    ok0, f0 = apps.puzzle_verify(keys, obligation, answers, 0)
+    ok1, f1 = apps.puzzle_verify(keys, obligation, answers, 1)
+    return {"r": keys.r, "both": ok0 and ok1, "fractions": (f0, f1)}
+
+
 def test_puzzle_replay_attack_needs_r_zero():
     rng = rng_for(38)
     both_count = 0
     for _ in range(60):
-        out = apps.puzzle_replay_attack(1024, 0.82, rng, source="ideal")
+        out = puzzle_replay_attack(1024, 0.82, rng, source="ideal")
         if out["r"] == 1:
             assert not out["both"]
             assert out["fractions"][1] == 1.0 - out["fractions"][0]
@@ -210,11 +274,20 @@ def test_binding_probe_width_limit():
 # ------------------------------------------------------- toy commitment, OT
 
 
+def toy_extract(com):
+    """Walk the whole seed space; the tag pins the seed in practice."""
+    for seed in range(1 << apps._PRG_SEED_BITS):
+        bits, _ = apps._open_with_seed(com, seed)
+        if bits is not None:
+            return bits
+    return None
+
+
 def test_toy_commitment_roundtrip_and_extract():
     rng = rng_for(51)
     com, opening = apps.toy_commit((1, 0, 1), rng)
     assert apps.toy_verify(com, opening)
-    assert apps.toy_extract(com) == (1, 0, 1)
+    assert toy_extract(com) == (1, 0, 1)
     bad = {"seed": opening["seed"], "bits": [0, 0, 1]}
     assert not apps.toy_verify(com, bad)
 

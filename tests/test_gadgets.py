@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import drop_qubits
-from ospsim import acceptance, gadgets, gf2, osp, qsim
+from oracles import dense_csg_from_ecnot, drop_qubits
+from ospsim import acceptance, apps, gadgets, gf2, osp, qsim
 
 
 def rng_for(seed):
@@ -368,3 +368,83 @@ def test_csg_from_ecnot_validation():
         gadgets.csg_from_ecnot(0, rng_for(0))
     with pytest.raises(ValueError):
         gadgets.csg_from_ecnot(20, rng_for(0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_csg_from_ecnot_matches_the_dense_circuit(n):
+    for seed in range(500):
+        oracle_rng, rng = rng_for([n, seed]), rng_for([n, seed])
+        want = dense_csg_from_ecnot(n, oracle_rng)
+        got = gadgets.csg_from_ecnot(n, rng)
+        assert (got.x0, got.x1, got.z) == (want.x0, want.x1, want.z)
+        assert got.receiver_state == want.receiver_state
+        assert got.transcript == want.transcript
+        # same draws as the circuit: the generators end in one state
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_csg_from_ecnot_matches_the_dense_circuit_with_protocol_source():
+    source = osp.tcf_two_round_source(2)
+    for seed in range(6):
+        n = 1 + seed % 3
+        oracle_rng, rng = rng_for([40, seed]), rng_for([40, seed])
+        want = dense_csg_from_ecnot(n, oracle_rng, source)
+        got = gadgets.csg_from_ecnot(n, rng, source)
+        assert (got.x0, got.x1, got.z) == (want.x0, want.x1, want.z)
+        assert got.receiver_state == want.receiver_state
+        assert got.transcript == want.transcript
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def off_plane_source(b, rng):
+    """Reports s, but hands (|0> -+ i|1>)/sqrt2 for b = 1, not H|s>."""
+    s = int(rng.integers(0, 2))
+    if b == 0:
+        return s, qsim.basis_descriptor((s,))
+    return s, qsim.plane_descriptor(-1j if s else 1j)
+
+
+def flipped_bit_source(b, rng):
+    """Hands H^b|s> but reports the other bit."""
+    s, helper = osp.ideal_stub_source(b, rng)
+    return s ^ 1, helper
+
+
+@pytest.mark.parametrize("source", [off_plane_source, flipped_bit_source],
+                         ids=["off-plane", "flipped-bit"])
+def test_a_helper_that_breaks_the_source_contract_is_refused(source):
+    # such a helper used to give a claw that does not describe its own
+    # state: off-plane, csg_from_ecnot(1, rng_for(3)) had a DBCSG
+    # projection norm of 0.7071
+    with pytest.raises(ValueError, match="H\\^b\\|s>"):
+        gadgets.csg_from_ecnot(1, rng_for(3), source)
+    for b in (0, 1):
+        with pytest.raises(ValueError, match="H\\^b\\|s>"):
+            gadgets.ecnot_gen(b, rng_for(3), source)
+
+
+def test_claw_generation_builds_no_dense_state(monkeypatch):
+    """csg_from_ecnot and the honest OT receiver that calls it for all
+    2 lambda instances neither build a dense state nor apply a gate."""
+    calls = []
+    init = qsim.DenseState.__init__
+    apply_gate = qsim.apply_gate
+
+    def counting_init(self, amplitudes):
+        calls.append("DenseState")
+        init(self, amplitudes)
+
+    def counting_apply_gate(*args):
+        calls.append("apply_gate")
+        return apply_gate(*args)
+
+    monkeypatch.setattr(qsim.DenseState, "__init__", counting_init)
+    monkeypatch.setattr(qsim, "apply_gate", counting_apply_gate)
+    rng = rng_for(50)
+    for _ in range(50):
+        gadgets.csg_from_ecnot(3, rng)
+    assert calls == []
+    receiver = apps.OtReceiverParty(0, 8, "search", rng)
+    receiver.on_message(None)
+    assert len(receiver.states) == 16
+    assert calls == []
