@@ -370,30 +370,27 @@ def test_csg_from_ecnot_validation():
         gadgets.csg_from_ecnot(20, rng_for(0))
 
 
+def assert_csg_matches_the_dense_circuit(n, seed, source=None):
+    oracle_rng, rng = rng_for(seed), rng_for(seed)
+    want = dense_csg_from_ecnot(n, oracle_rng, source)
+    got = gadgets.csg_from_ecnot(n, rng, source)
+    assert (got.x0, got.x1, got.z) == (want.x0, want.x1, want.z)
+    assert got.receiver_state == want.receiver_state
+    assert got.transcript == want.transcript
+    # same draws as the circuit: the generators end in one state
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_csg_from_ecnot_matches_the_dense_circuit(n):
     for seed in range(500):
-        oracle_rng, rng = rng_for([n, seed]), rng_for([n, seed])
-        want = dense_csg_from_ecnot(n, oracle_rng)
-        got = gadgets.csg_from_ecnot(n, rng)
-        assert (got.x0, got.x1, got.z) == (want.x0, want.x1, want.z)
-        assert got.receiver_state == want.receiver_state
-        assert got.transcript == want.transcript
-        # same draws as the circuit: the generators end in one state
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert_csg_matches_the_dense_circuit(n, [n, seed])
 
 
 def test_csg_from_ecnot_matches_the_dense_circuit_with_protocol_source():
     source = osp.tcf_two_round_source(2)
     for seed in range(6):
-        n = 1 + seed % 3
-        oracle_rng, rng = rng_for([40, seed]), rng_for([40, seed])
-        want = dense_csg_from_ecnot(n, oracle_rng, source)
-        got = gadgets.csg_from_ecnot(n, rng, source)
-        assert (got.x0, got.x1, got.z) == (want.x0, want.x1, want.z)
-        assert got.receiver_state == want.receiver_state
-        assert got.transcript == want.transcript
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert_csg_matches_the_dense_circuit(1 + seed % 3, [40, seed], source)
 
 
 def off_plane_source(b, rng):
