@@ -31,6 +31,17 @@ import numpy as np
 from . import osp, qsim
 
 
+def _prepared(b: int, rng, source):
+    """One draw (s, H^b|s>) from source.  Both gadgets' keys are right only
+    if the helper is the canonical H^b|s> for the bit s the source reported,
+    so any other helper raises ValueError."""
+    s, helper = source(b, rng)
+    if helper != osp.PREPARED_STATES.get((b == 0, s)):
+        raise ValueError("source helper is not H^b|s> for the bit s it "
+                         "reported")
+    return s, helper
+
+
 def phase_readout(b: int, rng, source=None):
     """The draws of the phase-power gadget, without touching any state.
 
@@ -38,24 +49,21 @@ def phase_readout(b: int, rng, source=None):
     from the data qubit into h and a uniform Z readout m of h would leave
     sqrt(2) diag(h[m], h[m^1]) on the data qubit.  m is drawn as in the
     module docstring.  Returns that diagonal (read-only, and memoised on
-    the helper and m), the Z key s ^ (m & b) and m.
+    b, s and m), the Z key s ^ (m & b) and m.
     """
     if b not in (0, 1):
         raise ValueError("phase power must be 0 or 1")
     if source is None:
         source = osp.ideal_stub_source
-    s, descr = source(b, rng)
-    helper = qsim.apply_1q(qsim.apply_1q(descr, "H"), "SQRTX")
-    if helper.is_basis:
-        raise ValueError("phase helper must lie on the XY plane")
+    s, _ = _prepared(b, rng, source)
     m = int(rng.random() >= 0.5)
-    return _phase_diagonal(helper, m), s ^ (m & b), m
+    return _phase_diagonal(b, s, m), s ^ (m & b), m
 
 
-# H then SQRTX takes a one-qubit descriptor to one of only four helpers
-# on the XY plane, so this holds at most eight read-only diagonals.
-@lru_cache(maxsize=16)
-def _phase_diagonal(helper: qsim.TwoBranchState, m: int) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _phase_diagonal(b: int, s: int, m: int) -> np.ndarray:
+    helper = qsim.apply_1q(qsim.apply_1q(osp.PREPARED_STATES[b == 0, s],
+                                         "H"), "SQRTX")
     h = helper.densify().amplitudes
     diagonal = np.diag(np.sqrt(2) * h[[m, m ^ 1]])
     diagonal.flags.writeable = False
@@ -75,22 +83,14 @@ class EcnotClient:
 
 
 def ecnot_gen(b: int, rng, source=None):
-    """Prepare the two helper qubits: H^b|t0> and H^{1-b}|t1>.
-
-    The keys ecnot_dec computes are right only if each helper is the
-    canonical H^b|s> for the bit s its source reported, so any other
-    helper raises ValueError.
-    """
+    """Prepare the two helper qubits: H^b|t0> and H^{1-b}|t1>, each
+    checked by _prepared."""
     if b not in (0, 1):
         raise ValueError("switch bit must be 0 or 1")
     if source is None:
         source = osp.ideal_stub_source
-    t0, helper0 = source(b, rng)
-    t1, helper1 = source(1 - b, rng)
-    if (helper0 != osp.PREPARED_STATES.get((b == 0, t0))
-            or helper1 != osp.PREPARED_STATES.get((b == 1, t1))):
-        raise ValueError("source helper is not H^b|s> for the bit s it "
-                         "reported")
+    t0, helper0 = _prepared(b, rng, source)
+    t1, helper1 = _prepared(1 - b, rng, source)
     return EcnotClient(b, t0, t1), (helper0, helper1)
 
 

@@ -16,13 +16,16 @@ pins down everything needed to make two runs comparable byte for byte:
 Sessions over a socket open with one hello frame from each side, then
 alternate turns.  The hello carries HARNESS_VERSION, which changes with
 the framing or any message payload schema, so a peer of another version
-is refused at the hello rather than partway through a session.  A turn is zero or more frames closed by a turn marker;
-the session ends when both sides send an empty turn back to back.  One
-connection carries one session.  Whatever bytes a peer sends, a session
-ends with a transcript of status complete, error, timeout or
-disconnected; a malformed frame ends it with error.  complete means the
-party finished: a party sets its result only once its part is done (the
-poq prover, which cannot tell the last round, after each verdict).
+is refused at the hello rather than partway through a session.  A turn
+is zero or more frames closed by a turn marker; the session ends when
+both sides send an empty turn back to back.  A peer turn is read frame
+by frame, and reading stops at the first frame the party refuses; the
+timeout bounds a whole peer turn, the hello included.  One connection
+carries one session.  Whatever bytes a peer sends, a session ends with
+a transcript of status complete, error, timeout or disconnected; a
+malformed frame ends it with error.  complete means the party finished:
+a party sets its result only once its part is done (the poq prover,
+which cannot tell the last round, after each verdict).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import hashlib
 import json
 import socket
 import struct
+import time
 import uuid
 from dataclasses import dataclass, field
 
@@ -113,22 +117,30 @@ def _encode_frame(obj) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
-def _read_exact(fh, count: int) -> bytes:
-    data = fh.read(count)  # a buffered read comes back short only at EOF
-    if len(data) < count:
-        raise ConnectionError("peer closed the connection mid-frame")
-    return data
+def _read_exact(fh, count: int, wait=None) -> bytes:
+    """count bytes from a buffered reader.  Each refill of its buffer is one
+    read from the socket; wait, if given, runs before each such read."""
+    chunks = []
+    while count:
+        if wait is not None:
+            wait()
+        chunk = fh.peek(1) and fh.read1(count)  # peek refills an empty buffer
+        if not chunk:
+            raise ConnectionError("peer closed the connection mid-frame")
+        chunks.append(chunk)
+        count -= len(chunk)
+    return b"".join(chunks)
 
 
-def _read_frame(fh):
+def _read_frame(fh, wait=None):
     """The one frame reader: the next frame's body, or None at a turn marker."""
-    header = _read_exact(fh, _LENGTH.size)
+    header = _read_exact(fh, _LENGTH.size, wait)
     if header == _TURN_END:
         return None
     (length,) = _LENGTH.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise FrameError("declared frame length %d exceeds the cap" % length)
-    return _read_exact(fh, length)
+    return _read_exact(fh, length, wait)
 
 
 def _decode_body(body: bytes):
@@ -301,20 +313,14 @@ def _send_turn(fh, batch):
     fh.flush()
 
 
-def _recv_turn(fh):
-    """Read frames up to the turn marker; returns decoded Messages."""
-    return [Message.from_dict(_decode_body(body))
-            for body in iter(lambda: _read_frame(fh), None)]
-
-
 def _hello(protocol, session, seed) -> dict:
     return {"harness": HARNESS_VERSION, "protocol": protocol,
             "session": session, "seed": int(seed)}
 
 
-def _recv_hello(fh, protocol, session, seed):
+def _recv_hello(fh, protocol, session, seed, wait):
     """Read the peer's hello frame and check that it opens this session."""
-    body = _read_frame(fh)
+    body = _read_frame(fh, wait)
     if body is None:
         raise FrameError("peer sent a turn marker in place of its hello")
     obj = _decode_body(body)
@@ -333,56 +339,66 @@ def _socket_session(party, conn, protocol, seed, timeout):
     """Run one session over a connected socket; never raises for peer faults.
 
     Returns (status, detail, messages).  The local party speaks first when
-    it is the client; turns then strictly alternate.  Two consecutive
-    empty turns end the session: with status complete when the party has
-    its result, else with status error.  A peer message the party cannot
-    handle, whatever the party raises for it, ends the session with status
-    error.
+    it is the client; turns then strictly alternate.  Each peer frame is
+    checked and handed to the party as it is read; the replies go out as
+    one turn after the peer's marker.  A peer message the party cannot
+    handle, whatever it raises, ends the session with status error, and
+    nothing after it is read.  timeout bounds each peer turn from its
+    first read to its marker, and each turn sent.  Two consecutive empty
+    turns end the session: with status complete when the party has its
+    result, else with status error.
     """
     session = session_id(protocol, seed)
     seq = _Sequencer(session)
     peer_role = "server" if party.role == "client" else "client"
     messages = []
+    deadline = 0.0
+
+    def wait():  # the next socket read gets what is left of the turn
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise socket.timeout
+        conn.settimeout(left)
+
     conn.settimeout(timeout)
     fh = conn.makefile("rwb")
     try:
         fh.write(_encode_frame(_hello(protocol, session, seed)))
         fh.flush()
-        _recv_hello(fh, protocol, session, seed)
-        pending = [None] if party.role == "client" else None
-        sent_empty = received_empty = False
+        deadline = time.monotonic() + timeout
+        _recv_hello(fh, protocol, session, seed, wait)
+        replies = party.on_message(None) if party.role == "client" else None
+        quiet = False  # the last turn, from either side, was empty
         while True:
-            if pending is not None:
-                outgoing = []
-                for raw in pending:
-                    try:
-                        outgoing.extend(party.on_message(raw))
-                    except Exception as exc:
-                        if raw is None:  # the opening call reads no peer input
-                            raise
-                        return ("error", "%s message rejected: %s: %s"
-                                % (raw["kind"], type(exc).__name__, exc),
-                                messages)
-                batch = [seq.stamp(party.role, raw) for raw in outgoing]
+            if replies is not None:
+                batch = [seq.stamp(party.role, raw) for raw in replies]
                 messages.extend(batch)
+                conn.settimeout(timeout)
                 _send_turn(fh, batch)
-                sent_empty = not batch
-                if sent_empty and received_empty:
+                if quiet and not batch:
                     break
-            received = _recv_turn(fh)
-            for msg in received:
+                quiet = not batch
+            replies, empty = [], True
+            deadline = time.monotonic() + timeout
+            while (body := _read_frame(fh, wait)) is not None:
+                msg = Message.from_dict(_decode_body(body))
                 seq.expect(msg, peer_role)
-            messages.extend(received)
-            received_empty = not received
-            if received_empty and sent_empty:
+                messages.append(msg)
+                empty = False
+                try:
+                    replies.extend(party.on_message(
+                        {"kind": msg.kind, "payload": msg.payload}))
+                except Exception as exc:
+                    return ("error", "%s message rejected: %s: %s"
+                            % (msg.kind, type(exc).__name__, exc), messages)
+            if quiet and empty:
                 break
-            pending = [{"kind": m.kind, "payload": m.payload}
-                       for m in received]
+            quiet = empty
         if party.result is None:
             return "error", "session ended before the party finished", messages
         return "complete", None, messages
     except socket.timeout:
-        return "timeout", "no data within %.3f s" % timeout, messages
+        return "timeout", "turn not done within %.3f s" % timeout, messages
     except ConnectionError as exc:
         return "disconnected", str(exc), messages
     except FrameError as exc:

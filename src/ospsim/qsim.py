@@ -23,7 +23,7 @@ Conventions
   state, readout returns the bits and keeps no post-state.
 * Named gates on a one-qubit descriptor are memoised: there are 18 such
   descriptors, so apply_1q computes each (descriptor, gate name) pair
-  through a dense state once.  Explicit matrices are never cached.
+  through a dense state once.
 * Structured phases live on the 8th roots of unity.  Anything richer must be
   densified first.
 """
@@ -563,26 +563,20 @@ def dense_to_two_branch(state: DenseState) -> TwoBranchState:
     raise ValueError("state has %d-point support, not a branch pair" % hot.size)
 
 
-def _apply_1q_dense(descriptor: TwoBranchState, mat) -> TwoBranchState:
-    vec = mat @ descriptor.densify().amplitudes
+@lru_cache(maxsize=256)  # 18 one-qubit descriptors times 8 gate names
+def _apply_named_1q(descriptor: TwoBranchState, name: str) -> TwoBranchState:
+    vec = GATES[name] @ descriptor.densify().amplitudes
     # Normalize global phase so the first significant amplitude is positive.
     ref = vec[0] if abs(vec[0]) > 1e-7 else vec[1]
     vec = vec * (abs(ref) / ref)
     return dense_to_two_branch(DenseState(vec))
 
 
-@lru_cache(maxsize=256)  # 18 one-qubit descriptors times 8 gate names
-def _apply_named_1q(descriptor: TwoBranchState, name: str) -> TwoBranchState:
-    return _apply_1q_dense(descriptor, GATES[name])
-
-
-def apply_1q(descriptor: TwoBranchState, gate) -> TwoBranchState:
+def apply_1q(descriptor: TwoBranchState, gate: str) -> TwoBranchState:
     """Apply a named single-qubit gate to a 1-qubit descriptor exactly."""
     if descriptor.width != 1:
         raise ValueError("descriptor must be a single qubit")
-    if isinstance(gate, str):
-        return _apply_named_1q(descriptor, gate.upper())
-    return _apply_1q_dense(descriptor, np.asarray(gate))
+    return _apply_named_1q(descriptor, gate.upper())
 
 
 def measure_descriptor(descriptor: TwoBranchState, basis, rng) -> int:

@@ -163,7 +163,7 @@ def test_phase_gadget_rejects_a_basis_state_helper():
 
     assert qsim.apply_1q(qsim.apply_1q(source(0, None)[1], "H"),
                          "SQRTX").is_basis
-    with pytest.raises(ValueError, match="XY plane"):
+    with pytest.raises(ValueError, match="H\\^b\\|s>"):
         gadgets.phase_readout(1, rng_for(0), source)
 
 
@@ -418,6 +418,15 @@ def test_a_helper_that_breaks_the_source_contract_is_refused(source):
     for b in (0, 1):
         with pytest.raises(ValueError, match="H\\^b\\|s>"):
             gadgets.ecnot_gen(b, rng_for(3), source)
+
+
+@pytest.mark.parametrize("b", (0, 1))
+def test_the_phase_gadget_refuses_a_helper_that_breaks_the_source_contract(b):
+    # its Z key s ^ (m & b) would be off by one: delegating H; T; H on
+    # input 0 with pad 0 through such a source used to unpad with
+    # fidelity 0.0, with no error
+    with pytest.raises(ValueError, match="H\\^b\\|s>"):
+        gadgets.phase_readout(b, rng_for(3), flipped_bit_source)
 
 
 def test_claw_generation_builds_no_dense_state(monkeypatch):

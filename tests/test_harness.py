@@ -5,6 +5,7 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,9 +23,19 @@ def _prefixed(body):
     return struct.pack(">I", len(body)) + body
 
 
+def _recv_turn(fh):
+    """The messages of one turn read from fh, up to its marker."""
+    return [harness.Message.from_dict(harness._decode_body(body))
+            for body in iter(lambda: harness._read_frame(fh), None)]
+
+
+def _reader(data):
+    return io.BufferedReader(io.BytesIO(data))
+
+
 def _read_turn(data):
-    """The messages a session reads from `data` sent as one turn."""
-    return harness._recv_turn(io.BytesIO(data + harness._TURN_END))
+    """The messages in `data` read as one turn."""
+    return _recv_turn(_reader(data + harness._TURN_END))
 
 
 payloads = st.recursive(
@@ -70,7 +81,7 @@ def test_frame_decode_rejects_truncation():
     encoded = harness.frame_encode(harness.Message("s", 3, "server", "k", {}))
     for data in (encoded[:-1], encoded[:3], b""):
         with pytest.raises(ConnectionError, match="mid-frame"):
-            harness._recv_turn(io.BytesIO(data))
+            _recv_turn(_reader(data))
 
 
 def test_frame_decode_rejects_bad_json_and_fields():
@@ -288,6 +299,79 @@ def test_timeout_aborts_cleanly():
         th.join()  # send nothing further; the server should give up
     listener.close()
     assert box["server"].outcome["status"] == "timeout"
+
+
+def test_a_trickled_hello_ends_the_session_within_its_timeout():
+    """timeout bounds a whole peer turn, the hello included, not each read:
+    a peer sending a byte every 0.2 s cannot hold the server past it."""
+    timeout = 0.5
+    listener = harness.open_listener("127.0.0.1", 0)
+    port = listener.getsockname()[1]
+    box = {}
+    stop = threading.Event()
+
+    def serve():
+        start = time.monotonic()
+        box["server"] = harness.serve_on(listener, "poq", 5, {"rounds": 1},
+                                         timeout=timeout)
+        box["elapsed"] = time.monotonic() - start
+        stop.set()
+
+    th = threading.Thread(target=serve)
+    th.start()
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
+        for byte in _peer_hello("poq")[:15]:
+            if stop.wait(0.2):
+                break
+            conn.sendall(bytes([byte]))
+        th.join()
+    listener.close()
+    assert box["server"].outcome["status"] == "timeout"
+    assert box["elapsed"] < timeout + 1.0
+
+
+def test_a_flooded_turn_is_read_only_up_to_the_first_refused_frame(
+        monkeypatch):
+    """A client turn of 64 frames of 1 MiB of a kind the prover refuses:
+    the server stops reading at the first, so a turn cannot pile up."""
+    reads = []
+    read_frame = harness._read_frame
+
+    def counting_read_frame(*args):
+        reads.append(args)
+        return read_frame(*args)
+
+    monkeypatch.setattr(harness, "_read_frame", counting_read_frame)
+    sid = harness.session_id("poq", 5)
+    blob = "x" * (1 << 20)
+    local, peer = socket.socketpair()
+
+    def flood():
+        try:
+            peer.sendall(_peer_hello("poq"))
+            for seq in range(64):
+                peer.sendall(harness.frame_encode(
+                    harness.Message(sid, seq, "client", "flood", blob)))
+            peer.sendall(harness._TURN_END)
+            peer.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # the server hangs up once it refuses the first frame
+
+    feeder = threading.Thread(target=flood)
+    feeder.start()
+    party = harness.make_party("poq", "server", 5, {"rounds": 1})
+    try:
+        status, detail, messages = harness._socket_session(
+            party, local, "poq", 5, 10.0)
+    finally:
+        local.close()
+        feeder.join()
+        peer.close()
+    assert status == "error"
+    assert detail == ("flood message rejected: ValueError: unexpected "
+                      "message kind 'flood'")
+    assert len(reads) <= 3  # the hello and at most 2 frames past it
+    assert len(messages) <= 2
 
 
 def test_out_of_order_seq_is_an_error():
@@ -526,11 +610,11 @@ def test_out_of_range_check_set_ends_the_receiver_session():
             fh = conn.makefile("rwb")
             harness._read_frame(fh)
             _send_hello(fh, "ot", seed)
-            harness._recv_turn(fh)  # the obligations
+            _recv_turn(fh)  # the obligations
             harness._send_turn(fh, [harness.Message(
                 sid, 0, "server", "check-set", {"T": [0, 8]})])
             try:
-                harness._recv_turn(fh)
+                _recv_turn(fh)
             except (ConnectionError, OSError):
                 pass
             fh.close()
@@ -561,12 +645,12 @@ def test_ot_receiver_answers_one_check_set_over_a_socket():
             fh = conn.makefile("rwb")
             harness._read_frame(fh)
             _send_hello(fh, "ot", seed)
-            harness._recv_turn(fh)  # the obligations
+            _recv_turn(fh)  # the obligations
             for seq, check in enumerate(([0, 1, 2, 3], [4, 5, 6, 7])):
                 harness._send_turn(fh, [harness.Message(
                     sid, seq, "server", "check-set", {"T": check})])
                 try:
-                    harness._recv_turn(fh)
+                    _recv_turn(fh)
                 except (ConnectionError, OSError):
                     pass
             fh.close()
@@ -608,7 +692,7 @@ def test_ot_sender_refuses_a_message_out_of_order_over_a_socket(kinds):
     assert server.outcome["detail"] == (
         "%s message rejected: ValueError: unexpected message kind %r"
         % (kinds[-1], kinds[-1]))
-    assert server.messages == turn
+    assert server.messages == turn[:2]  # nothing after the refusal is read
 
 
 def test_poq_verifier_draws_one_challenge_over_a_socket():
