@@ -168,6 +168,9 @@ def cmd_puzzle(args):
 def cmd_delegate(args):
     with _reading("--circuit"), open(args.circuit, encoding="utf-8") as fh:
         circuit = delegation.parse_circuit(fh.read())
+    if circuit.num_qubits > qsim.MAX_DENSE_QUBITS:  # unpad_state's limit
+        raise _UsageError("--circuit: %d qubits exceed the %d-qubit dense "
+                          "limit" % (circuit.num_qubits, qsim.MAX_DENSE_QUBITS))
     if not args.input or any(c not in "01" for c in args.input):
         raise _UsageError("--input must be a bit string like 1011")
     bits = tuple(int(c) for c in args.input)
@@ -263,6 +266,10 @@ def cmd_cvqc(args):
     if args.ham:
         with _reading("--ham"), open(args.ham, encoding="utf-8") as fh:
             ham = cvqc.parse_hamiltonian(fh.read())
+        if ham.num_qubits > cvqc.MAX_DIAGONALIZED_QUBITS:
+            raise _UsageError("--ham: %d qubits exceed the %d that the ground "
+                              "state is computed for"
+                              % (ham.num_qubits, cvqc.MAX_DIAGONALIZED_QUBITS))
     else:
         ham = cvqc.parse_hamiltonian(_BENCH_HAM)
     with _reading():

@@ -9,11 +9,20 @@ teleport the data register through the shared pairs while the other reads
 it out in a random Pauli basis.  The honest strategy is implemented both
 with direct projective measurements and as a padded delegated circuit,
 so the two can be compared round for round.
+
+The direct strategy keeps a memo per base state.  Its outcome laws depend
+only on the base, the question fields and the outcomes drawn so far, so
+each law is computed once and each post-state built when its outcome is
+first drawn; the draws are unchanged.  The memo is keyed by the base
+object under a weak reference and goes when the base does.  The dense walk
+that measures a fresh state every round is kept as the test oracle
+dense_direct_answers in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -22,6 +31,8 @@ import numpy as np
 from . import delegation, gf2, qsim
 
 REJECTION_LIMIT = 10 ** 4
+# Widest Hamiltonian that min_eigenvalue and ground_state diagonalize.
+MAX_DIAGONALIZED_QUBITS = 4
 _SQRT2 = math.sqrt(2.0)
 
 _AXES = ("X", "Z")
@@ -123,16 +134,20 @@ def hamiltonian_matrix(ham: Hamiltonian) -> np.ndarray:
     return out
 
 
+def _check_diagonalizable(ham: Hamiltonian):
+    if ham.num_qubits > MAX_DIAGONALIZED_QUBITS:
+        raise ValueError("dense diagonalization is capped at %d qubits, got %d"
+                         % (MAX_DIAGONALIZED_QUBITS, ham.num_qubits))
+
+
 def min_eigenvalue(ham: Hamiltonian) -> float:
-    if ham.num_qubits > 4:
-        raise ValueError("dense diagonalization is capped at four qubits")
+    _check_diagonalizable(ham)
     return float(np.linalg.eigvalsh(hamiltonian_matrix(ham))[0])
 
 
 def ground_state(ham: Hamiltonian) -> np.ndarray:
     """Lowest-index eigenvector of the smallest eigenvalue (deterministic)."""
-    if ham.num_qubits > 4:
-        raise ValueError("dense diagonalization is capped at four qubits")
+    _check_diagonalizable(ham)
     _, vecs = np.linalg.eigh(hamiltonian_matrix(ham))
     return np.array(vecs[:, 0], dtype=complex)
 
@@ -260,29 +275,97 @@ def prepared_state(ham: Hamiltonian, prepare=None) -> qsim.DenseState:
     return epr.tensor(qsim.DenseState(vec))
 
 
-def _direct_answers(ham, question, state, rng):
+# The direct walk's outcome laws, one table per base state; see
+# _direct_answers.  A table is dropped with its base.
+_DIRECT_LAWS = weakref.WeakKeyDictionary()
+
+
+class _Step:
+    """One measurement of the direct walk: its qsim law, and the
+    post-state of each outcome drawn so far."""
+
+    __slots__ = ("law", "posts")
+
+    def __init__(self, law):
+        self.law = law
+        self.posts = {}
+
+    def draw(self, rng):
+        """An outcome from the law's draw, and the state after it."""
+        outcome = self.law.draw(rng)
+        post = self.posts.get(outcome)
+        if post is None:
+            post = self.posts[outcome] = self.law.branch(outcome)
+        return outcome, post
+
+
+def _cached_step(laws, key, make, *args):
+    """The step at key, computed as make(*args) on its first use."""
+    found = laws.get(key)
+    if found is None:
+        found = laws[key] = _Step(make(*args))
+    return found
+
+
+def _teleport_law(state, lam):
+    """The law of the prover's first teleport readout, after its ladder."""
+    for i in range(lam):
+        state = state.apply("CNOT", 2 * lam + i, lam + i)
+        state = state.apply("H", 2 * lam + i)
+    return qsim.BasisLaw(state, list(range(lam, 2 * lam)), qsim.Basis.Z)
+
+
+def _direct_answers(ham, question, base, rng):
+    """The honest provers' answers, measured directly on base.
+
+    Each draw is one rng.random() against a law that only base, the
+    question fields and the outcomes drawn so far fix.  So the laws are
+    kept in a table for base, keyed by those fields and outcomes: a law is
+    computed by qsim.ObservableLaw or qsim.BasisLaw on its first use, and
+    the state after an outcome is built when that outcome is first drawn
+    (an outcome never drawn may have zero weight).  Draws go through the
+    laws' own draw, so answers and the generator's state are those of the
+    dense walk that measures a fresh copy every round, which
+    tests/oracles.py keeps as dense_direct_answers.  The table is held
+    under a weak reference to base and goes when base does.
+    """
+    laws = _DIRECT_LAWS.get(base)
+    if laws is None:
+        laws = _DIRECT_LAWS[base] = {}
     lam = ham.num_qubits
     alice = list(range(lam, 2 * lam))
-    if question.kind == "chsh":
-        mat = _chsh_observable(question.a, question.b, question.x)
-        bit, state = qsim.measure_observable(state, mat, alice, rng)
+    kind = question.kind
+    if kind == "chsh":
+        key = (kind, question.a, question.b, question.x)
+        bit, state = _cached_step(
+            laws, key, qsim.ObservableLaw, base,
+            _chsh_observable(question.a, question.b, question.x),
+            alice).draw(rng)
+        key += (bit,)
         s_a = (bit,)
-    elif question.kind == "commutation":
-        za, state = qsim.measure_observable(
-            state, pauli_string("Z", question.a), alice, rng)
-        xb, state = qsim.measure_observable(
-            state, pauli_string("X", question.b), alice, rng)
+    elif kind == "commutation":
+        key = (kind, question.a)
+        za, state = _cached_step(laws, key, qsim.ObservableLaw, base,
+                          pauli_string("Z", question.a), alice).draw(rng)
+        key += (za, question.b)
+        xb, state = _cached_step(laws, key, qsim.ObservableLaw, state,
+                          pauli_string("X", question.b), alice).draw(rng)
+        key += (xb,)
         s_a = (za, xb)
     else:
-        for i in range(lam):
-            state = state.apply("CNOT", 2 * lam + i, lam + i)
-            state = state.apply("H", 2 * lam + i)
-        xkeys, state = qsim.measure(state, alice, qsim.Basis.Z, rng)
-        zkeys, state = qsim.measure(
-            state, [2 * lam + i for i in range(lam)], qsim.Basis.Z, rng)
-        s_a = tuple(xkeys) + tuple(zkeys)
+        key = (kind, lam)
+        first = _cached_step(laws, key, _teleport_law, base, lam)
+        xkeys, state = first.draw(rng)
+        key += (xkeys,)
+        second = _cached_step(laws, key, qsim.BasisLaw, state,
+                       [2 * lam + i for i in range(lam)], qsim.Basis.Z)
+        zkeys, state = second.draw(rng)
+        key += (zkeys,)
+        s_a = first.law.bits(xkeys) + second.law.bits(zkeys)
     basis = qsim.Basis.Z if question.y == 0 else qsim.Basis.X
-    return s_a, qsim.readout(state, list(range(lam)), basis, rng)
+    readout = _cached_step(laws, key + (question.y,), qsim.BasisLaw, state,
+                    list(range(lam)), basis).law
+    return s_a, readout.bits(readout.draw(rng))
 
 
 # Clifford+T gate strings, applied left to right.  _RY_MINUS is the y-axis

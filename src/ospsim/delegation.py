@@ -23,6 +23,7 @@ two into the full output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import gadgets, osp, qsim
 
@@ -161,8 +162,13 @@ class DelegationResult:
 _BIT_GATES = ("X", "Z", "P", "PDG", "T", "TDG", "CNOT")
 
 
+@lru_cache(maxsize=256)
 def _stays_classical(circuit: Circuit, split: int) -> bool:
-    """Whether every gate keeps the wires at or above split basis states."""
+    """Whether every gate keeps the wires at or above split basis states.
+
+    Memoised: a circuit is frozen, and the energy game delegates the same
+    few circuits every round.
+    """
     for name, qubits in circuit.gates:
         if all(q < split for q in qubits):
             continue

@@ -12,15 +12,22 @@ Conventions
 * Qubit 0 is the leftmost ket symbol; bit strings read MSB first, so the
   amplitude index of |b_0 b_1 ... b_{n-1}> is int(bits, 2).
 * States are value objects.  Operations return new states.
-* Dense states refuse to exceed 20 qubits.  Only _block and _unblock know
+* Dense states refuse to exceed 20 qubits; from_bits and uniform refuse
+  before they allocate any amplitude.  Only _block and _unblock know
   how amplitudes are laid out by wire; gates and measurements all go
   through them, and _block rejects negative, out-of-range and
   repeated wires.  The axis permutation for each (register width, wire
   list) is computed and checked once and then cached.
+* A dense measurement is a law and a post-state.  BasisLaw and
+  ObservableLaw compute the outcome law of a state; their draw takes an
+  outcome from one rng.random(), and their branch builds the state after
+  a given outcome.  measure, readout and measure_observable are those
+  three steps in a row (readout skips the branch), so a caller that
+  keeps a law and its branches draws exactly what those functions draw.
 * There is one outcome sampler, draw_index: it draws the index
-  Generator.choice would draw, from the same one double.  measure and
-  readout share its use on a dense block; measure also collapses the
-  state, readout returns the bits and keeps no post-state.
+  Generator.choice would draw, from the same one double.  BasisLaw draws
+  through it; ObservableLaw's two outcomes are the comparison
+  rng.random() < p_plus.
 * Named gates on a one-qubit descriptor are memoised: there are 18 such
   descriptors, so apply_1q computes each (descriptor, gate name) pair
   through a dense state once.
@@ -139,6 +146,13 @@ def _check_bits(bits, width):
     return bits
 
 
+def _check_width(n: int):
+    """Refuse a dense state of more than MAX_DENSE_QUBITS qubits."""
+    if n > MAX_DENSE_QUBITS:
+        raise ValueError("dense state of %d qubits exceeds the %d-qubit limit"
+                         % (n, MAX_DENSE_QUBITS))
+
+
 class DenseState:
     """Immutable dense state vector over num_qubits qubits."""
 
@@ -150,11 +164,7 @@ class DenseState:
         n = int(vec.size).bit_length() - 1
         if 1 << n != vec.size:
             raise ValueError("amplitude vector length must be a power of two")
-        if n > MAX_DENSE_QUBITS:
-            raise ValueError(
-                "dense state of %d qubits exceeds the %d-qubit limit"
-                % (n, MAX_DENSE_QUBITS)
-            )
+        _check_width(n)
         # np.linalg.norm's own sum for a complex vector, without its dispatch.
         re, im = vec.real, vec.imag
         norm = math.sqrt(re.dot(re) + im.dot(im))
@@ -168,12 +178,14 @@ class DenseState:
     @classmethod
     def from_bits(cls, bits) -> "DenseState":
         bits = tuple(int(b) for b in bits)
+        _check_width(len(bits))
         vec = np.zeros(1 << len(bits), dtype=complex)
         vec[gf2.bits_to_int(bits)] = 1.0
         return cls(vec)
 
     @classmethod
     def uniform(cls, num_qubits: int) -> "DenseState":
+        _check_width(num_qubits)
         vec = np.full(1 << num_qubits, 2 ** (-num_qubits / 2), dtype=complex)
         return cls(vec)
 
@@ -273,18 +285,38 @@ def draw_index(p, rng) -> int:
     return sum(c / total <= u for c in cdf)
 
 
-def _draw(state: DenseState, qubits, basis, rng):
-    """The outcome draw of measure and readout.
+class BasisLaw:
+    """The outcome law of measuring the listed wires in one basis.
 
-    Returns the checked wires, the block over them rotated into the
-    basis, its normalised outcome probabilities and the drawn outcome.
+    probs lists the normalised probability of each outcome, the first
+    listed wire as the most significant bit; draw takes an outcome from
+    one rng.random() through draw_index, and branch builds the
+    post-measurement state of an outcome.
     """
-    wires, block = _block(state, qubits)
-    if basis != Basis.Z:
-        block = _rotate_rows(block, _basis_rotation(basis))
-    probs = (np.abs(block) ** 2).sum(axis=1)
-    probs = probs / probs.sum()
-    return wires, block, probs, draw_index(probs.tolist(), rng)
+
+    __slots__ = ("wires", "basis", "block", "probs")
+
+    def __init__(self, state: DenseState, qubits, basis):
+        wires, block = _block(state, qubits)
+        if basis != Basis.Z:
+            block = _rotate_rows(block, _basis_rotation(basis))
+        probs = (np.abs(block) ** 2).sum(axis=1)
+        self.wires, self.basis, self.block = wires, basis, block
+        self.probs = (probs / probs.sum()).tolist()
+
+    def draw(self, rng) -> int:
+        return draw_index(self.probs, rng)
+
+    def bits(self, outcome: int) -> tuple:
+        return gf2.int_to_bits(outcome, len(self.wires))
+
+    def branch(self, outcome: int) -> DenseState:
+        """The state after outcome, collapsed wires in its basis eigenvector."""
+        post = np.zeros_like(self.block)
+        post[outcome] = self.block[outcome] / math.sqrt(self.probs[outcome])
+        if self.basis != Basis.Z:
+            post = _rotate_rows(post, _basis_rotation(self.basis).conj().T)
+        return _unblock(post, self.wires)
 
 
 def measure(state: DenseState, qubits, basis, rng):
@@ -293,18 +325,42 @@ def measure(state: DenseState, qubits, basis, rng):
     Returns (outcome bits, post-measurement DenseState).  The collapsed
     qubits are left in the corresponding basis eigenvector.
     """
-    wires, block, probs, outcome = _draw(state, qubits, basis, rng)
-    post = np.zeros_like(block)
-    post[outcome] = block[outcome] / math.sqrt(probs[outcome])
-    if basis != Basis.Z:
-        post = _rotate_rows(post, _basis_rotation(basis).conj().T)
-    return gf2.int_to_bits(outcome, len(wires)), _unblock(post, wires)
+    law = BasisLaw(state, qubits, basis)
+    outcome = law.draw(rng)
+    return law.bits(outcome), law.branch(outcome)
 
 
 def readout(state: DenseState, qubits, basis, rng) -> tuple:
     """The outcome bits of measure, from the same draw, with no post-state."""
-    wires, _, _, outcome = _draw(state, qubits, basis, rng)
-    return gf2.int_to_bits(outcome, len(wires))
+    law = BasisLaw(state, qubits, basis)
+    return law.bits(law.draw(rng))
+
+
+class ObservableLaw:
+    """The two-outcome law of an involution on the listed wires.
+
+    p_plus is the weight of outcome +1, reported as bit 0; draw compares
+    one rng.random() with it, and branch builds the post-measurement
+    state of a bit.
+    """
+
+    __slots__ = ("wires", "block", "plus", "p_plus")
+
+    def __init__(self, state: DenseState, observable, wires):
+        self.wires, self.block = _block(state, wires)
+        self.plus = 0.5 * (self.block
+                           + _operator(observable, self.wires) @ self.block)
+        self.p_plus = float(np.vdot(self.plus, self.plus).real)
+
+    def draw(self, rng) -> int:
+        return 0 if rng.random() < self.p_plus else 1
+
+    def branch(self, bit: int) -> DenseState:
+        chosen = (self.plus if bit == 0 else self.block - self.plus).reshape(-1)
+        # np.linalg.norm's own sum for a complex array, without its dispatch.
+        re, im = chosen.real, chosen.imag
+        return _unblock(chosen / math.sqrt(re.dot(re) + im.dot(im)),
+                        self.wires)
 
 
 def measure_observable(state: DenseState, observable, wires, rng):
@@ -312,14 +368,9 @@ def measure_observable(state: DenseState, observable, wires, rng):
 
     Returns (bit, post-measurement DenseState); bit 0 means outcome +1.
     """
-    wires, block = _block(state, wires)
-    plus = 0.5 * (block + _operator(observable, wires) @ block)
-    p_plus = float(np.vdot(plus, plus).real)
-    bit = 0 if rng.random() < p_plus else 1
-    chosen = (plus if bit == 0 else block - plus).reshape(-1)
-    # np.linalg.norm's own sum for a complex array, without its dispatch.
-    re, im = chosen.real, chosen.imag
-    return bit, _unblock(chosen / math.sqrt(re.dot(re) + im.dot(im)), wires)
+    law = ObservableLaw(state, observable, wires)
+    bit = law.draw(rng)
+    return bit, law.branch(bit)
 
 
 @dataclass(frozen=True)

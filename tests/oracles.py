@@ -106,3 +106,30 @@ def dense_csg_from_ecnot(n: int, rng, source=None) -> osp.CsgOutcome:
         z ^= z_acc[1 + i] & delta[i]
     receiver = qsim.dense_to_two_branch(state)
     return osp.CsgOutcome(x0, x1, z, receiver, transcript, differentiated=True)
+
+
+def dense_direct_answers(ham, question, state, rng):
+    """The direct energy-game walk that cvqc._direct_answers memoises: every
+    round measures a fresh dense state from the base, step by step."""
+    lam = ham.num_qubits
+    alice = list(range(lam, 2 * lam))
+    if question.kind == "chsh":
+        mat = cvqc._chsh_observable(question.a, question.b, question.x)
+        bit, state = qsim.measure_observable(state, mat, alice, rng)
+        s_a = (bit,)
+    elif question.kind == "commutation":
+        za, state = qsim.measure_observable(
+            state, cvqc.pauli_string("Z", question.a), alice, rng)
+        xb, state = qsim.measure_observable(
+            state, cvqc.pauli_string("X", question.b), alice, rng)
+        s_a = (za, xb)
+    else:
+        for i in range(lam):
+            state = state.apply("CNOT", 2 * lam + i, lam + i)
+            state = state.apply("H", 2 * lam + i)
+        xkeys, state = qsim.measure(state, alice, qsim.Basis.Z, rng)
+        zkeys, state = qsim.measure(
+            state, [2 * lam + i for i in range(lam)], qsim.Basis.Z, rng)
+        s_a = tuple(xkeys) + tuple(zkeys)
+    basis = qsim.Basis.Z if question.y == 0 else qsim.Basis.X
+    return s_a, qsim.readout(state, list(range(lam)), basis, rng)

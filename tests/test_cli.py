@@ -144,6 +144,27 @@ def test_bad_option_values_are_usage_errors(argv, message, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,text,message", [
+    (["cvqc", "--ham"],
+     "QUBITS 5\n" + "".join("%s %d %d 0.125\n" % (axis, i, i + 1)
+                            for axis in "XZ" for i in range(4)),
+     "ospsim cvqc: error: --ham: 5 qubits exceed the 4 that the ground "
+     "state is computed for"),
+    (["delegate", "--input", "1" * 21, "--circuit"], "QUBITS 21\nX 0\n",
+     "ospsim delegate: error: --circuit: 21 qubits exceed the 20-qubit "
+     "dense limit"),
+], ids=["cvqc-5-qubit-ham", "delegate-21-qubit-circuit"])
+def test_files_past_the_dense_limits_are_usage_errors(argv, text, message,
+                                                      tmp_path, capsys):
+    path = tmp_path / "wide.txt"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == message + "\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["poq", "--trials", "0"],
      "ospsim poq: error: argument --trials: '0' is not a positive integer"),

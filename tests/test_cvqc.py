@@ -1,11 +1,13 @@
 """Tests for the single-round Hamiltonian energy game."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from oracles import anticommutator_norm
+from oracles import anticommutator_norm, dense_direct_answers
 from ospsim import cvqc, qsim
 
 
@@ -436,6 +438,63 @@ def test_estimate_value_tracks_physical_rate():
         assert 0.5 <= cvqc.teleport_rate(alpha) <= 1.0
     assert est["low"] <= est["value"] <= est["high"]
     assert est["high"] - est["low"] < 0.02
+
+
+CHAIN = cvqc.parse_hamiltonian(
+    "QUBITS 3\nX 0 1 0.25\nX 1 2 0.25\nZ 0 1 0.25\nZ 1 2 0.25\n")
+
+
+def _dense_round(ham, params, rng, base):
+    """honest_round with the dense walk of the oracle for the answers."""
+    question = cvqc.sample_question(ham, params, rng)
+    answers = dense_direct_answers(ham, question, base, rng)
+    return question, answers, cvqc.verify(question, answers, ham, rng)
+
+
+@pytest.mark.parametrize("ham", [BENCH, CHAIN], ids=["xx-zz", "chain"])
+def test_memoised_direct_rounds_draw_what_the_dense_walk_draws(ham):
+    """Same questions, answers and verdicts round by round, and the same
+    generator state at the end, from one seed."""
+    alpha = cvqc.min_eigenvalue(ham)
+    params = cvqc.GameParams(0.2, alpha, alpha + 1.0)
+    base = cvqc.prepared_state(ham)
+    ours, theirs = rng_for(ham.num_qubits), rng_for(ham.num_qubits)
+    kinds = set()
+    for _ in range(20_000):
+        played = cvqc.honest_round(ham, params, ours, base=base)
+        assert played == _dense_round(ham, params, theirs, base)
+        kinds.add(played[0].kind)
+    assert kinds == {"chsh", "commutation", "teleport"}
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_a_warm_memo_builds_no_dense_state_and_goes_with_its_base(
+        monkeypatch):
+    gc.collect()
+    tables = len(cvqc._DIRECT_LAWS)
+    params = cvqc.GameParams(0.2, -1.0)
+    base = cvqc.prepared_state(BENCH)
+    rng = rng_for(18)
+    for _ in range(1000):
+        cvqc.honest_round(BENCH, params, rng, base=base)
+    calls = []
+    init = qsim.DenseState.__init__
+
+    def counting_init(self, amplitudes):
+        calls.append("DenseState")
+        init(self, amplitudes)
+
+    monkeypatch.setattr(qsim.DenseState, "__init__", counting_init)
+    for _ in range(1000):
+        cvqc.honest_round(BENCH, params, rng, base=base)
+    assert calls == []
+    assert len(cvqc._DIRECT_LAWS) == tables + 1
+    assert cvqc._DIRECT_LAWS[base]
+    gone = weakref.ref(base)
+    del base
+    gc.collect()
+    assert gone() is None
+    assert len(cvqc._DIRECT_LAWS) == tables
 
 
 def test_energy_dependence_of_teleport_rounds():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,6 +58,22 @@ def test_gate_errors():
 def test_dense_limit_is_hard():
     with pytest.raises(ValueError):
         DenseState(np.ones(1 << 21) / math.sqrt(1 << 21))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DenseState.from_bits((0,) * 21),
+    lambda: DenseState.uniform(21),
+], ids=["from_bits", "uniform"])
+def test_dense_constructors_refuse_a_wide_state_before_allocating(build):
+    """2^21 amplitudes would be 32 MiB; the refusal allocates none."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="21 qubits exceeds the 20"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("amplitudes", [[math.nan, 0], [math.inf, 0]],
