@@ -274,6 +274,9 @@ def cmd_cvqc(args):
         ham = cvqc.parse_hamiltonian(_BENCH_HAM)
     with _reading():
         params = cvqc.GameParams(args.kappa, args.alpha)
+    if params.kappa < 1 and not ham.x_terms:
+        raise _UsageError("--ham: correlation rounds need an X term; without "
+                          "one only --kappa 1 can be played")
     seed = _seed_of(args)
     rng = harness.derive_rng(seed, "cvqc", "delegated" if args.delegated
                              else "direct")

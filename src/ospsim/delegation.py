@@ -5,10 +5,18 @@ propagates through the circuit, in one pass over the gates.  Clifford
 gates update the pad keys by simple rules.  A T or TDG gate leaves a
 phase-gate correction whose power equals the current X key, which the
 client fixes up remotely with one draw of the teleported phase gadget.
-On a dense wire the gate and the gadget's diagonal are applied together
-as one diagonal; on a bit wire the phase is global and nothing is
-applied.  The server only ever sees padded bits and uniformly random
-measurement outcomes.
+On a dense wire the gate and the gadget's diagonal act together as one
+diagonal; on a bit wire the phase is global and nothing is applied.  The
+server only ever sees padded bits and uniformly random measurement
+outcomes.
+
+No draw depends on the state, so the pass does not apply the dense
+gates one by one.  It multiplies each into one pending operator on at
+most three dense wires, and applies that operator to the state only when
+the next gate would take it past three wires, and once at the end.  Each
+gate's operator, embedded in the pending wires, is memoised by gate, its
+positions among those wires and their number.  tests/oracles.py keeps
+the gate-by-gate pass as the oracle.
 
 A run may start from an existing register, which fills the leading wires;
 the classical input fills the trailing ones.  Those input wires are kept
@@ -24,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
 
 from . import gadgets, osp, qsim
 
@@ -115,7 +125,7 @@ def classical_eval(circuit: Circuit, bits) -> tuple:
     if not _stays_classical(circuit, 0):
         raise ValueError("circuit has no classical evaluation")
     for name, qubits in circuit.gates:
-        _gate(None, name, qubits, 0, out)
+        _gate(name, qubits, 0, out)
     return tuple(out)
 
 
@@ -180,10 +190,14 @@ def _stays_classical(circuit: Circuit, split: int) -> bool:
     return True
 
 
-def _gate(state, name, qubits, split, bits):
-    """One Clifford gate on dense wires below split and bits above it."""
+def _gate(name, qubits, split, bits):
+    """One Clifford gate on dense wires below split and bits above it.
+
+    Updates the bits in place.  Returns the gate it leaves on the dense
+    wires as (name, qubits), or None.
+    """
     if all(q < split for q in qubits):
-        return qsim.apply_gate(state, name, qubits)
+        return name, qubits
     if name == "X":
         bits[qubits[0] - split] ^= 1
     elif name == "CNOT":
@@ -191,8 +205,78 @@ def _gate(state, name, qubits, split, bits):
         if t >= split:
             bits[t - split] ^= bits[c - split]
         elif bits[c - split]:
-            return qsim.apply_gate(state, "X", [t])
-    return state
+            return "X", (t,)
+    return None
+
+
+# The most dense wires one pending operator covers: an 8x8 product per
+# gate costs far less than a pass over the amplitudes.
+_FUSE_WIRES = 3
+
+# Embedded gate operators by (gate key, positions, width).  A gate key is
+# a gate name, or (name, b, z_key, m) for T and TDG: the gadget's diagonal
+# is fixed by b and its draws, and (z_key, m) fixes them.  Within three
+# wires, 21 one-wire gate keys each take 6 (positions, width) pairs and
+# CNOT takes 8, so the memo holds at most 134 matrices of at most 8x8.
+_EMBEDDED = {}
+
+
+class _Fused:
+    """The dense state and one pending operator on the wires listed in
+    wires, in that order, the first as the most significant bit."""
+
+    __slots__ = ("state", "wires", "op")
+
+    def __init__(self, state: qsim.DenseState):
+        self.state, self.wires, self.op = state, (), None
+
+    def add(self, key, qubits, diagonal=None):
+        """Multiply one gate into the pending operator.
+
+        key names the gate as in _EMBEDDED; diagonal is the phase
+        gadget's, for T and TDG.  Applies the pending operator first if
+        the gate would take it past _FUSE_WIRES wires.
+        """
+        wires = self.wires
+        new = [q for q in qubits if q not in wires]
+        if len(wires) + len(new) > _FUSE_WIRES:
+            self.flush()
+            wires, new = (), qubits
+        if new:
+            wires = self.wires = wires + tuple(new)
+            if self.op is not None:  # kron(op, I) for the new trailing wires
+                eye = np.eye(1 << len(new))[:, None, :]
+                dim = 1 << len(wires)
+                self.op = (self.op[:, None, :, None] * eye).reshape(dim, dim)
+        width = len(wires)
+        positions = tuple(map(wires.index, qubits))
+        op = _EMBEDDED.get((key, positions, width))
+        if op is None:
+            mat = qsim.GATES[key] if diagonal is None else (
+                diagonal @ qsim.GATES[key[0]])
+            op = _embed(mat, positions, width)
+            _EMBEDDED[key, positions, width] = op
+        self.op = op if self.op is None else op @ self.op
+
+    def flush(self) -> qsim.DenseState:
+        """Apply the pending operator, if any, and return the state."""
+        if self.op is not None:
+            self.state = qsim.apply_gate(self.state, self.op, self.wires)
+            self.wires, self.op = (), None
+        return self.state
+
+
+def _embed(mat, positions, width) -> np.ndarray:
+    """mat on the listed positions of width wires, as a 2^width square
+    matrix: mat applied to each column of the identity."""
+    order, inverse = qsim._wire_perms(width, positions)
+    dim = 1 << width
+    cube = (2,) * width + (dim,)
+    cols = np.eye(dim, dtype=complex).reshape(cube).transpose(order + (width,))
+    out = (mat @ cols.reshape(1 << len(positions), -1)).reshape(cube)
+    op = out.transpose(inverse + (width,)).reshape(dim, dim)
+    op.flags.writeable = False
+    return op
 
 
 def delegate(circuit: Circuit, input_bits, rng, source=None,
@@ -242,24 +326,29 @@ def delegate_on_state(circuit: Circuit, state: qsim.DenseState, input_bits,
         state = state.tensor(qsim.DenseState.from_bits(padded))
         split, padded = n, []
 
+    fused = _Fused(state)
     for name, qubits in circuit.gates:
         if name not in NON_CLIFFORD_GATES:
-            state = _gate(state, name, qubits, split, padded)
+            dense = _gate(name, qubits, split, padded)
+            if dense is not None:
+                fused.add(*dense)
             frame.apply_clifford(name, qubits)
             continue
         # T is TDG then P.  TDG, the gadget's diagonal D and P all act on q
         # as diagonals, so P D TDG = D T; a phase on a bit is global.
         q = qubits[0]
-        phase, z_key, m = gadgets.phase_readout(frame.r[q], rng, source)
+        b = frame.r[q]
+        phase, z_key, m = gadgets.phase_readout(b, rng, source)
         if q < split:
-            state = qsim.apply_gate(state, phase @ qsim.GATES[name], qubits)
+            fused.add((name, b, z_key, m), qubits, phase)
         frame.s[q] ^= z_key
         if name == "T":
             frame.apply_clifford("P", qubits)
         transcript.append(
             {"role": "server", "kind": "phase-outcome", "payload": {"m": m}}
         )
-    return DelegationResult(circuit, state, frame, transcript, tuple(padded))
+    return DelegationResult(circuit, fused.flush(), frame, transcript,
+                            tuple(padded))
 
 
 def unpad_state(result: DelegationResult) -> qsim.DenseState:

@@ -28,6 +28,8 @@ Conventions
   Generator.choice would draw, from the same one double.  BasisLaw draws
   through it; ObservableLaw's two outcomes are the comparison
   rng.random() < p_plus.
+* fidelity of two TwoBranchStates is a closed form over their supports
+  and phases; it builds no dense state.
 * Named gates on a one-qubit descriptor are memoised: there are 18 such
   descriptors, so apply_1q computes each (descriptor, gate name) pair
   through a dense state once.
@@ -544,8 +546,26 @@ def collapse_affine(state: AffineBranchState, rng):
     return d, bit
 
 
+def _branch_amplitudes(state: TwoBranchState) -> dict:
+    """The nonzero amplitudes of a branch pair, by basis string."""
+    if state.is_basis:
+        return {state.u: 1.0}
+    return {state.u: _SQ2, state.v: state.phase * _SQ2}
+
+
 def fidelity(a, b) -> float:
-    """|<a|b>|^2 for pure states (global-phase invariant)."""
+    """|<a|b>|^2 for pure states (global-phase invariant).
+
+    Two TwoBranchStates take a closed form over their supports, with no
+    dense state; the tests pin it against the densified overlap.
+    """
+    if isinstance(a, TwoBranchState) and isinstance(b, TwoBranchState):
+        if a.width != b.width:
+            raise ValueError("state sizes differ")
+        left = _branch_amplitudes(a)
+        inner = sum(left[x].conjugate() * amp
+                    for x, amp in _branch_amplitudes(b).items() if x in left)
+        return float(abs(inner) ** 2)
     va = densify(a).amplitudes
     vb = densify(b).amplitudes
     if va.size != vb.size:

@@ -6,7 +6,7 @@ against; none of them is on a protocol path.
 
 import numpy as np
 
-from ospsim import cvqc, gadgets, gf2, osp, qsim
+from ospsim import cvqc, delegation, gadgets, gf2, osp, qsim
 
 
 def basis_vector(basis, outcome: int) -> np.ndarray:
@@ -133,3 +133,54 @@ def dense_direct_answers(ham, question, state, rng):
         s_a = tuple(xkeys) + tuple(zkeys)
     basis = qsim.Basis.Z if question.y == 0 else qsim.Basis.X
     return s_a, qsim.readout(state, list(range(lam)), basis, rng)
+
+
+def dense_delegate_on_state(circuit, state, input_bits, rng, source=None):
+    """The gate-by-gate pass that delegation.delegate_on_state fuses: every
+    gate that lands on the dense state is one qsim.apply_gate, and each T
+    or TDG there is one diagonal, the gate and its gadget's together."""
+    if source is None:
+        source = osp.ideal_stub_source
+    n = circuit.num_qubits
+    k = state.num_qubits
+    bits = tuple(int(b) for b in input_bits)
+    if k + len(bits) != n:
+        raise ValueError("register plus classical input must fill the circuit")
+    pad = tuple(int(t) for t in rng.integers(0, 2, len(bits)))
+    frame = delegation.PauliFrame([0] * k + list(pad), [0] * n)
+    padded = [b ^ p for b, p in zip(bits, pad)]
+    transcript = [
+        {"role": "client", "kind": "padded-input",
+         "payload": {"bits": list(padded), "register": k}},
+    ]
+    split = k
+    if not delegation._stays_classical(circuit, k):
+        state = state.tensor(qsim.DenseState.from_bits(padded))
+        split, padded = n, []
+
+    for name, qubits in circuit.gates:
+        if name in delegation.NON_CLIFFORD_GATES:
+            q = qubits[0]
+            phase, z_key, m = gadgets.phase_readout(frame.r[q], rng, source)
+            if q < split:
+                state = qsim.apply_gate(state, phase @ qsim.GATES[name],
+                                        qubits)
+            frame.s[q] ^= z_key
+            if name == "T":
+                frame.apply_clifford("P", qubits)
+            transcript.append({"role": "server", "kind": "phase-outcome",
+                               "payload": {"m": m}})
+            continue
+        if all(q < split for q in qubits):
+            state = qsim.apply_gate(state, name, qubits)
+        elif name == "X":
+            padded[qubits[0] - split] ^= 1
+        elif name == "CNOT":
+            c, t = qubits
+            if t >= split:
+                padded[t - split] ^= padded[c - split]
+            elif padded[c - split]:
+                state = qsim.apply_gate(state, "X", [t])
+        frame.apply_clifford(name, qubits)
+    return delegation.DelegationResult(circuit, state, frame, transcript,
+                                       tuple(padded))

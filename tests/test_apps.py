@@ -302,6 +302,25 @@ def test_ot_honest_delivers_chosen_value():
             assert len(res.per_index) == 6
 
 
+def test_honest_sessions_build_no_dense_state(monkeypatch):
+    """An honest OT session, whose sender scores each opened claw, and an
+    honest quantumness test run on descriptors only."""
+    calls = []
+    init = qsim.DenseState.__init__
+
+    def counting_init(self, amplitudes):
+        calls.append("DenseState")
+        init(self, amplitudes)
+
+    monkeypatch.setattr(qsim.DenseState, "__init__", counting_init)
+    ot = harness.run_local("ot", 5, {"lam": 8, "b": 1, "variant": "search"})
+    assert ot["server"].outcome["status"] == "complete"
+    assert ot["server"].outcome["result"]["caught"] is False
+    poq = harness.run_local("poq", 6, {"rounds": 20})
+    assert poq["client"].outcome["status"] == "complete"
+    assert calls == []
+
+
 def test_ot_per_index_branch_law():
     rng = rng_for(53)
     receiver = apps.OtReceiverParty(1, 5, "search", rng_for(54))

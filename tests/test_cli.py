@@ -165,6 +165,30 @@ def test_files_past_the_dense_limits_are_usage_errors(argv, text, message,
     assert err == message + "\n"
 
 
+def test_a_hamiltonian_without_x_terms_needs_kappa_one(tmp_path, monkeypatch,
+                                                       capsys):
+    """Correlation rounds draw an X term, so below kappa 1 a file with none
+    is refused before any round; at kappa 1 it plays teleport rounds."""
+    path = tmp_path / "z.ham"
+    path.write_text("QUBITS 2\nZ 0 1 1.0\n")
+    derive_rng = harness.derive_rng
+
+    def no_work(*_labels):
+        raise AssertionError("the command started work")
+
+    monkeypatch.setattr(harness, "derive_rng", no_work)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cvqc", "--ham", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "ospsim cvqc: error: --ham: correlation rounds need an X term; "
+        "without one only --kappa 1 can be played\n")
+    monkeypatch.setattr(harness, "derive_rng", derive_rng)
+    assert cli.main(["cvqc", "--ham", str(path), "--kappa", "1",
+                     "--trials", "20", "--seed", "1"]) == 0
+    assert "rounds=20" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv,message", [
     (["poq", "--trials", "0"],
      "ospsim poq: error: argument --trials: '0' is not a positive integer"),

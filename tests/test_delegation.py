@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from ospsim import delegation, osp, qsim
+from oracles import dense_delegate_on_state
+from ospsim import cvqc, delegation, osp, qsim
 
 
 def rng_for(seed):
@@ -314,17 +315,22 @@ def test_classical_readout_draws_no_randomness():
         delegation.classical_output_round(res, rng, wires=[3])
 
 
-def test_phases_on_bit_wires_touch_no_state(monkeypatch):
-    """A phase on a classical wire only moves keys: no gate is applied."""
-    circ = delegation.parse_circuit("QUBITS 2\nT 0\nCNOT 0 1\nTDG 1\n")
+def _count_applies(monkeypatch):
     calls = []
     apply_gate = qsim.apply_gate
 
     def counting_apply_gate(*args):
-        calls.append(args[1])
+        calls.append(args[2])
         return apply_gate(*args)
 
     monkeypatch.setattr(qsim, "apply_gate", counting_apply_gate)
+    return calls
+
+
+def test_phases_on_bit_wires_touch_no_state(monkeypatch):
+    """A phase on a classical wire only moves keys: no gate is applied."""
+    circ = delegation.parse_circuit("QUBITS 2\nT 0\nCNOT 0 1\nTDG 1\n")
+    calls = _count_applies(monkeypatch)
     rng = rng_for(37)
     for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
         res = delegation.delegate(circ, bits, rng)
@@ -335,23 +341,93 @@ def test_phases_on_bit_wires_touch_no_state(monkeypatch):
     assert calls == []
 
 
-def test_each_phase_gate_is_one_dense_apply(monkeypatch):
-    """T and TDG on a dense wire: the gate and the gadget are one diagonal."""
-    circ = delegation.parse_circuit("QUBITS 1\nH 0\nT 0\nTDG 0\n")
-    reg = _register(rng_for(38), 1)
-    calls = []
-    apply_gate = qsim.apply_gate
+def test_a_run_on_three_dense_wires_is_one_dense_apply(monkeypatch):
+    """Gates and phase gadgets on at most three dense wires, with a
+    bit-controlled X among them, are one apply at the end of the pass."""
+    circ = delegation.parse_circuit(
+        "QUBITS 4\nH 0\nT 0\nCNOT 0 1\nTDG 1\nH 2\nCNOT 3 2\nT 2\n"
+        "CNOT 2 0\nP 1\n")
+    reg = _register(rng_for(38), 3)
+    calls = _count_applies(monkeypatch)
+    res = delegation.delegate_on_state(circ, reg, (1,), rng_for(39))
+    assert calls == [(0, 1, 2)]
+    monkeypatch.undo()
+    want = delegation.apply_circuit(
+        reg.tensor(qsim.DenseState.from_bits((1,))), circ)
+    assert qsim.fidelity(delegation.unpad_state(res), want) >= 1 - 1e-9
 
-    def counting_apply_gate(*args):
-        calls.append(args[1])
-        return apply_gate(*args)
 
-    monkeypatch.setattr(qsim, "apply_gate", counting_apply_gate)
-    res = delegation.delegate_on_state(circ, reg, (), rng_for(39))
-    assert len(calls) == 3
+def test_a_fourth_dense_wire_flushes_the_pending_run(monkeypatch):
+    """A gate that would widen the pending operator to four wires applies
+    it first and starts a new run from its own wires."""
+    circ = delegation.parse_circuit(
+        "QUBITS 4\nH 0\nCNOT 0 1\nT 2\nH 3\nCNOT 3 0\nTDG 3\nH 1\n")
+    reg = _register(rng_for(40), 4)
+    calls = _count_applies(monkeypatch)
+    res = delegation.delegate_on_state(circ, reg, (), rng_for(41))
+    assert calls == [(0, 1, 2), (3, 0, 1)]
     monkeypatch.undo()
     want = delegation.apply_circuit(reg, circ)
     assert qsim.fidelity(delegation.unpad_state(res), want) >= 1 - 1e-9
+
+
+def _assert_fused_matches_oracle(circuit, register, bits, seed):
+    rng_fused, rng_dense = rng_for(seed), rng_for(seed)
+    fused = delegation.delegate_on_state(circuit, register, bits, rng_fused)
+    dense = dense_delegate_on_state(circuit, register, bits, rng_dense)
+    assert json.dumps(fused.transcript) == json.dumps(dense.transcript)
+    assert (fused.frame.r, fused.frame.s) == (dense.frame.r, dense.frame.s)
+    assert fused.bits == dense.bits
+    assert fused.state.num_qubits == dense.state.num_qubits
+    assert rng_fused.bit_generator.state == rng_dense.bit_generator.state
+    assert qsim.fidelity(delegation.unpad_state(fused),
+                         delegation.unpad_state(dense)) >= 1 - 1e-9
+
+
+def test_fused_pass_matches_the_gate_by_gate_oracle():
+    """Same draws, keys, transcript and bits as the per-gate pass, and the
+    same output state, on random circuits over registers of 0-3 wires."""
+    rng = rng_for(42)
+    for trial in range(60):
+        reg_width = trial % 4
+        circ = delegation.random_circuit(rng, max_qubits=reg_width + 3,
+                                         max_gates=30, max_t=10)
+        n_in = circ.num_qubits - reg_width
+        if n_in < 0:
+            continue
+        bits = tuple(int(b) for b in rng.integers(0, 2, n_in))
+        _assert_fused_matches_oracle(circ, _register(rng, reg_width), bits,
+                                     100 + trial)
+
+
+@pytest.mark.parametrize("text,bits,dense_width", [
+    # Inputs stay bits; the CNOT from bit 3 puts an X on dense wire 1.
+    ("QUBITS 5\nH 0\nCNOT 0 1\nT 1\nCNOT 3 1\nCNOT 3 4\nX 4\nT 3\n"
+     "TDG 1\nH 2\nCNOT 2 0\nCNOT 4 2\n", (1, 0), 3),
+    # An H on an input wire puts every input on the dense state.
+    ("QUBITS 5\nH 0\nT 3\nH 3\nCNOT 3 1\nTDG 4\nCNOT 1 4\nT 1\nH 2\n",
+     (1, 1), 5),
+], ids=["bits-stay-bits", "inputs-join-the-state"])
+def test_fused_pass_matches_the_oracle_on_classical_inputs(text, bits,
+                                                           dense_width):
+    circ = delegation.parse_circuit(text)
+    reg = _register(rng_for(43), 3)
+    for seed in range(8):
+        res = delegation.delegate_on_state(circ, reg, bits, rng_for(seed))
+        assert res.state.num_qubits == dense_width
+        _assert_fused_matches_oracle(circ, reg, bits, seed)
+
+
+@pytest.mark.parametrize("lam", [2, 3])
+@pytest.mark.parametrize("kind", ["chsh", "commutation", "teleport"])
+def test_fused_pass_matches_the_oracle_on_collection_circuits(kind, lam):
+    circ, _, input_width = cvqc._collection_circuit(lam, kind)
+    rng = rng_for(44 + lam)
+    reg_width = circ.num_qubits - input_width
+    for seed in range(3):
+        bits = tuple(int(b) for b in rng.integers(0, 2, input_width))
+        _assert_fused_matches_oracle(circ, _register(rng, reg_width), bits,
+                                     200 + seed)
 
 
 def test_delegate_on_state_validation():

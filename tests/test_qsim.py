@@ -727,3 +727,25 @@ def test_measure_descriptor():
     assert qsim.measure_descriptor(qsim.basis_descriptor((1,)), Basis.Z, rng) == 1
     assert qsim.measure_descriptor(qsim.plane_descriptor(-1), Basis.X, rng) == 1
     assert qsim.measure_descriptor(qsim.plane_descriptor(1j), Basis.Y, rng) == 0
+
+
+def _grid_descriptors(width):
+    strings = [gf2.int_to_bits(i, width) for i in range(1 << width)]
+    out = [TwoBranchState(width, u, u) for u in strings]
+    out += [TwoBranchState(width, u, v, p) for u in strings for v in strings
+            if u != v for p in qsim.PHASE_GRID]
+    return out
+
+
+def test_two_branch_fidelity_closed_form_matches_dense():
+    """Every pair of width-1 and width-2 descriptors on the phase grid:
+    the closed form equals the overlap of the densified vectors."""
+    for width in (1, 2):
+        states = _grid_descriptors(width)
+        vectors = [s.densify().amplitudes for s in states]
+        for a, va in zip(states, vectors):
+            for b, vb in zip(states, vectors):
+                want = abs(np.vdot(va, vb)) ** 2
+                assert abs(fidelity(a, b) - want) <= 1e-12
+    with pytest.raises(ValueError):
+        fidelity(TwoBranchState(1, (0,), (1,)), TwoBranchState(2, (0, 0), (1, 1)))

@@ -8,7 +8,8 @@ putting the helpers on the state.  A change that alters an outcome, or
 the count or order of random draws, changes the digest.  A second
 sha256 pins what the switched-CNOT gadget feeds: public-key ciphertexts,
 claw states and OT results.  A count pins how many dense gate applies
-the delegated rounds make, one per T or TDG on a dense wire.
+the delegated rounds make: the delegation pass applies one operator per
+run of gates on at most three dense wires, not one per gate.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ import numpy as np
 from ospsim import apps, cvqc, gadgets, harness, qsim
 
 PINNED = "7bd382528977b8a049972d6af8236ff398b4bb08a261fc0f90c1827c09c1c09c"
-APPLY_GATE_PINNED = 1261
+APPLY_GATE_PINNED = 93
 GADGET_PINNED = "e7cb8cbd3236658aef18f974996d492397c469d3e552037811c582448137ad59"
 
 _PAIR = "QUBITS 2\nX 0 1 0.5\nZ 0 1 0.5\n"
@@ -59,7 +60,8 @@ def test_seeded_stream_matches_the_pinned_digest():
 
 
 def test_delegated_rounds_make_the_pinned_number_of_dense_applies(monkeypatch):
-    """The 30 delegated rounds above apply each T or TDG as one diagonal."""
+    """The 30 delegated rounds above, with the prepared base state, make
+    about three dense applies a round: one per fused run of gates."""
     calls = []
     apply_gate = qsim.apply_gate
 
