@@ -7,19 +7,23 @@ and phase gadgets, which draw their uniform helper readouts without
 putting the helpers on the state.  A change that alters an outcome, or
 the count or order of random draws, changes the digest.  A second
 sha256 pins what the switched-CNOT gadget feeds: public-key ciphertexts,
-claw states and OT results.  A count pins how many dense gate applies
-the delegated rounds make: the delegation pass applies one operator per
-run of gates on at most three dense wires, not one per gate.
+claw states and OT results.  A third sha256 pins the two-round
+quantumness test: rounds against the honest and the scripted provers,
+rewinding, family-backed puzzles and two-round preparations.  A count
+pins how many dense gate applies the delegated rounds make: the
+delegation pass applies one operator per run of gates on at most three
+dense wires, not one per gate.
 """
 
 import hashlib
 
 import numpy as np
 
-from ospsim import apps, cvqc, gadgets, harness, qsim
+from ospsim import apps, cvqc, gadgets, harness, osp, qsim
 
 PINNED = "7bd382528977b8a049972d6af8236ff398b4bb08a261fc0f90c1827c09c1c09c"
 APPLY_GATE_PINNED = 93
+POQ_PINNED = "999b3322cca2247bfedc9ae4e5716f4798a9ed06977734505ba84b74409fd7c8"
 GADGET_PINNED = "e7cb8cbd3236658aef18f974996d492397c469d3e552037811c582448137ad59"
 
 _PAIR = "QUBITS 2\nX 0 1 0.5\nZ 0 1 0.5\n"
@@ -101,3 +105,52 @@ def _gadget_digest() -> str:
 
 def test_switched_cnot_stream_matches_the_pinned_digest():
     assert _gadget_digest() == GADGET_PINNED
+
+
+def _poq_digest() -> str:
+    """Seeded outputs of the two-round quantumness test and its neighbours:
+    rounds against the honest prover and every scripted rule, rewinding,
+    puzzle roundtrips backed by the family, and two-round preparations.
+    Each block ends with the caller's next draw, so a changed draw count
+    shows too."""
+    digest = hashlib.sha256()
+
+    def close(rng):
+        digest.update(repr(rng.random()).encode())
+
+    rng = np.random.default_rng(81)
+    for prover in (None, ("branch",), ("zero",), ("uniform",), ("perfect",),
+                   ("accuracy", 0.9, 0.7)):
+        for _ in range(150):
+            played = apps.poq_run(rng, prover and apps.ScriptedProver(*prover))
+            digest.update(repr(played).encode())
+        close(rng)
+    rng = np.random.default_rng(82)
+    for prover in (("branch",), ("uniform",), ("perfect",),
+                   ("accuracy", 0.8, 0.6)):
+        for _ in range(100):
+            res = apps.rewind_extract(apps.ScriptedProver(*prover), rng)
+            digest.update(repr(res).encode())
+        close(rng)
+    rng = np.random.default_rng(83)
+    for challenge in (0, 1):
+        for n in (2, 3):
+            out = apps.puzzle_roundtrip(24, 0.6, challenge, rng, "tcf", n)
+            digest.update(repr((out["keys"].r, out["obligation"].reports,
+                                out["answers"].tolist(), out["verdict"],
+                                out["fraction"])).encode())
+        close(rng)
+    rng = np.random.default_rng(84)
+    for b in (0, 1):
+        for n in (2, 4):
+            for _ in range(40):
+                out = osp.two_round_osp(b, rng, n)
+                digest.update(repr((out.b, out.s, out.aborted,
+                                    apps.descriptor_to_json(out.receiver_state),
+                                    out.transcript)).encode())
+        close(rng)
+    return digest.hexdigest()
+
+
+def test_quantumness_test_stream_matches_the_pinned_digest():
+    assert _poq_digest() == POQ_PINNED
