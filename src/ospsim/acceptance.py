@@ -89,7 +89,9 @@ def criterion_2() -> CriterionResult:
 
 
 def _norm_ok(out) -> bool:
-    return abs(qsim.projection_norm(out, "OSP") - 1.0) <= 1e-9
+    """The target projection norm |<H^b s|state>| is 1 within 1e-9."""
+    norm = math.sqrt(qsim.fidelity(out.receiver_state, out.target))
+    return abs(norm - 1.0) <= 1e-9
 
 
 def criterion_3() -> CriterionResult:
@@ -193,20 +195,6 @@ def criterion_4() -> CriterionResult:
 # ------------------------------------------- criterion 5: structured oracles
 
 
-def _xbasis_probs(dense: qsim.DenseState, measured) -> np.ndarray:
-    """Exact outcome distribution of an X-basis readout of `measured`."""
-    rotated = dense
-    for q in measured:
-        rotated = qsim.apply_gate(rotated, "H", [q])
-    probs = np.abs(rotated.amplitudes) ** 2
-    width = rotated.num_qubits
-    axes = tuple(i for i in range(width) if i not in measured)
-    grid = probs.reshape((2,) * width)
-    if axes:
-        grid = grid.sum(axis=axes)
-    return grid.reshape(-1)
-
-
 def _residual_fidelity(state: qsim.TwoBranchState, keep, d, residual) -> float:
     """Dense-projection check of one collapse outcome."""
     others = [i for i in range(state.width) if i != keep]
@@ -247,7 +235,7 @@ def criterion_5() -> CriterionResult:
     state = qsim.TwoBranchState(8, u, v, -1)
     keep = 6  # u[6] == v[6]
     measured = [i for i in range(8) if i != keep]
-    exact = _xbasis_probs(state.densify(), measured)
+    exact = qsim.BasisLaw(state.densify(), measured, qsim.Basis.X).probs
     counts = np.zeros(1 << 7)
     for _ in range(samples):
         d, _res = qsim.collapse_two_branch(state, keep, rng)
@@ -261,7 +249,8 @@ def criterion_5() -> CriterionResult:
     # carries the phase.
     u2, v2 = (0, 1, 1, 0, 1, 0, 0), (1, 0, 1, 0, 0, 1, 1)
     state2 = qsim.TwoBranchState(7, u2, v2, 1j)
-    exact2 = _xbasis_probs(state2.densify(), [i for i in range(7) if i != 3])
+    exact2 = qsim.BasisLaw(state2.densify(), [i for i in range(7) if i != 3],
+                           qsim.Basis.X).probs
     counts2 = np.zeros(1 << 6)
     for _ in range(samples):
         d, _res = qsim.collapse_two_branch(state2, 3, rng)

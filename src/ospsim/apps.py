@@ -13,7 +13,11 @@ The pieces here stay at desk scale but run the real message flows:
 
 Message-passing protocols (the quantumness test and oblivious transfer)
 are written as party objects with an ``on_message`` method so the same
-code runs in-process and over a socket harness.
+code runs in-process and over a socket harness.  poq_run stays a direct
+loop for speed, so each rule of the quantumness test (the family draw,
+decode-or-refuse, the accepted answer s xor r*a and the honest X+Z/X-Z
+readout) lives in one private helper that it, the extractor, the puzzles
+and the parties share.
 """
 
 from __future__ import annotations
@@ -83,8 +87,10 @@ def _params_from_wire(payload) -> tcf.TcfPublic:
     row must hold 2^n distinct m-bit values, as every family's rows do, so
     an image has at most one preimage per branch."""
     mode, n, m = payload["mode"], int(payload["n"]), int(payload["m"])
-    if mode not in ("disjoint", "lossy") or not 1 <= n <= 18 or m != n + 2:
-        raise ValueError("round-params need a dual family, 1 <= n <= 18, m = n + 2")
+    if (mode not in ("disjoint", "lossy") or not 1 <= n <= tcf.MAX_N
+            or m != n + 2):
+        raise ValueError("round-params need a dual family, 1 <= n <= %d, "
+                         "m = n + 2" % tcf.MAX_N)
     table = tuple(tuple(row) for row in payload["table"])
     if len(table) != 2 or any(len(row) != 1 << n or any(type(v) is not int for v in row)
                               for row in table):
@@ -96,6 +102,25 @@ def _params_from_wire(payload) -> tcf.TcfPublic:
 
 
 # ---------------------------------------------------------- quantumness test
+
+
+def _decode(sp, r: int, y, d) -> int:
+    """The round's target bit s; a y outside the family is refused."""
+    s = osp.two_round_decode(sp, r, y, d)
+    if s is None:  # honest and classical evaluations always decode
+        raise ValueError("y is not an image of the round's family")
+    return s
+
+
+def _accepted(s, r, a):
+    """The answer accepted at question a; also elementwise on arrays."""
+    return s ^ (r & a)
+
+
+def _honest_answer(kept, a: int, rng) -> int:
+    """Measure the kept qubit in the X+Z (a = 0) or X-Z (a = 1) basis."""
+    basis = qsim.Basis.XPLUSZ if a == 0 else qsim.Basis.XMINUSZ
+    return qsim.measure_descriptor(kept, basis, rng)
 
 
 @dataclass
@@ -116,13 +141,14 @@ class ScriptedProver:
                     classical strategy, acceptance 3/4)
     rule "zero"     answers 0 regardless
     rule "uniform"  answers a fresh coin per question
-    rule "perfect"  answers s xor r*a; needs the round secrets handed over
+    rule "perfect"  answers s xor r*a
     rule "accuracy" answers correctly with probability p0 (at a=0) or p1
-                    (at a=1); also needs the round secrets
+                    (at a=1)
 
     The last two model provers of a given quality so the extractor bound
-    can be exercised; the verifier hands them (s, r) after decoding, which
-    stands in for a prover that happens to know the right answers.
+    can be exercised.  The verifier hands every prover the round secrets
+    (s, r) after decoding, which stands in for a prover that happens to
+    know the right answers; the other rules ignore them.
     """
 
     def __init__(self, rule: str, p0: float = 1.0, p1: float = 1.0):
@@ -133,8 +159,6 @@ class ScriptedProver:
         self.p1 = float(p1)
         self.branch = None
         self.secrets = None
-
-    needs_secrets = property(lambda self: self.rule in ("perfect", "accuracy"))
 
     def obligate(self, pp, rng):
         """Classical evaluation: pick one input, report its image."""
@@ -154,8 +178,7 @@ class ScriptedProver:
             return int(rng.integers(0, 2))
         if self.rule == "branch":
             return self.branch
-        s, r = self.secrets
-        correct = s ^ (r & a)
+        correct = _accepted(*self.secrets, a)
         if self.rule == "perfect":
             return correct
         p = self.p0 if a == 0 else self.p1
@@ -170,27 +193,19 @@ def poq_run(rng, prover=None, n: int = 3) -> PoqRound:
     Accepts iff the answer equals s xor r*a.
     """
     r = int(rng.integers(0, 2))
-    seed = int(rng.integers(0, 1 << 63))
-    pp, sp = tcf.gen("dual", r, n, 0, 1, seed)
-
+    pp, sp = osp._dual_family(r, n, rng)
     if prover is None:
         y, d, residual = osp.two_round_receiver(pp, rng)
     else:
         y, d = prover.obligate(pp, rng)
-        residual = None
-
-    s = osp.two_round_decode(sp, r, y, d)
-    if s is None:  # cannot happen at delta=1; kept for form
-        return PoqRound(r, 0, 0, 0, False)
+    s = _decode(sp, r, y, d)
     a = int(rng.integers(0, 2))
     if prover is None:
-        basis = qsim.Basis.XPLUSZ if a == 0 else qsim.Basis.XMINUSZ
-        b = qsim.measure_descriptor(residual, basis, rng)
+        b = _honest_answer(residual, a, rng)
     else:
-        if prover.needs_secrets:
-            prover.receive_secrets(s, r)
+        prover.receive_secrets(s, r)
         b = prover.answer(a, rng)
-    return PoqRound(r, s, a, b, b == (s ^ (r & a)))
+    return PoqRound(r, s, a, b, b == _accepted(s, r, a))
 
 
 def poq_rate(trials: int, rng, prover_factory=None, n: int = 3):
@@ -220,12 +235,9 @@ def rewind_extract(prover, rng, n: int = 3) -> RewindResult:
     two questions yields a guess correct with probability >= p0 + p1 - 1.
     """
     r = int(rng.integers(0, 2))
-    seed = int(rng.integers(0, 1 << 63))
-    pp, sp = tcf.gen("dual", r, n, 0, 1, seed)
-    y, d = prover.obligate(pp, rng)
-    s = osp.two_round_decode(sp, r, y, d)
-    if prover.needs_secrets:
-        prover.receive_secrets(s, r)
+    pp, sp = osp._dual_family(r, n, rng)
+    s = _decode(sp, r, *prover.obligate(pp, rng))
+    prover.receive_secrets(s, r)
     b0 = prover.answer(0, rng)
     b1 = prover.answer(1, rng)
     return RewindResult(b0 ^ b1, r, b0, b1, s)
@@ -265,13 +277,8 @@ def puzzle_keygen(lam: int, rng, threshold: float = 0.85,
         return PuzzleKeys(lam, r, float(threshold), "ideal")
     if source != "tcf":
         raise ValueError("source must be 'tcf' or 'ideal'")
-    pps, sps = [], []
-    for _ in range(lam):
-        seed = int(rng.integers(0, 1 << 63))
-        pp, sp = tcf.gen("dual", r, n, 0, 1, seed)
-        pps.append(pp)
-        sps.append(sp)
-    return PuzzleKeys(lam, r, float(threshold), "tcf", tuple(pps), tuple(sps))
+    pps, sps = zip(*(osp._dual_family(r, n, rng) for _ in range(lam)))
+    return PuzzleKeys(lam, r, float(threshold), "tcf", pps, sps)
 
 
 def puzzle_obligate(keys: PuzzleKeys, rng) -> PuzzleObligation:
@@ -300,13 +307,11 @@ def puzzle_solve(obligation: PuzzleObligation, challenge: int, rng) -> np.ndarra
         raise ValueError("obligation already consumed")
     obligation.solved = True
     if obligation.source_kind == "ideal":
-        target = obligation.s_bits ^ (obligation.r_hint & challenge)
+        target = _accepted(obligation.s_bits, obligation.r_hint, challenge)
         flips = (rng.random(obligation.lam) >= qsim.COS2_PI_8).astype(np.int64)
         return target ^ flips
-    basis = qsim.Basis.XPLUSZ if challenge == 0 else qsim.Basis.XMINUSZ
-    answers = np.empty(obligation.lam, dtype=np.int64)
-    for i, desc in enumerate(obligation.descriptors):
-        answers[i] = qsim.measure_descriptor(desc, basis, rng)
+    answers = np.array([_honest_answer(kept, challenge, rng)
+                        for kept in obligation.descriptors], dtype=np.int64)
     obligation.descriptors = None
     return answers
 
@@ -322,12 +327,11 @@ def puzzle_verify(keys: PuzzleKeys, obligation: PuzzleObligation,
     if answers.shape != (keys.lam,):
         raise ValueError("answer vector has wrong length")
     if keys.source_kind == "ideal":
-        targets = obligation.s_bits ^ (keys.r & challenge)
+        s_bits = obligation.s_bits
     else:
-        targets = np.empty(keys.lam, dtype=np.int64)
-        for i, (y, d) in enumerate(obligation.reports):
-            s = osp.two_round_decode(keys.secrets[i], keys.r, y, d)
-            targets[i] = s ^ (keys.r & challenge)
+        s_bits = np.array([_decode(sp, keys.r, y, d) for sp, (y, d)
+                           in zip(keys.secrets, obligation.reports)])
+    targets = _accepted(s_bits, keys.r, challenge)
     fraction = float(np.mean(answers == targets))
     return fraction >= keys.threshold, fraction
 
@@ -454,6 +458,14 @@ class OtResult:
     transcript: list
 
 
+def _transfer_output(variant: str, bits):
+    """A transferred value: the bits themselves, or in the
+    indistinguishability variant their XOR."""
+    if variant == "indistinguishability":
+        return sum(bits) & 1
+    return tuple(bits)
+
+
 class OtReceiverParty:
     """Chooser side: builds the claw states and keeps the claw values.
 
@@ -540,17 +552,10 @@ class OtReceiverParty:
             return [{"kind": "openings",
                      "payload": {"checked": checked, "unchecked": reveal}}]
         if msg["kind"] == "outcome":
+            value = None
             if self.cheat is None:
-                value = [self.claws[i][0] for i in self.unchecked]
-                if self.variant == "indistinguishability":
-                    out = 0
-                    for v in value:
-                        out ^= v
-                    value = out
-                else:
-                    value = tuple(value)
-            else:
-                value = None
+                bits = [self.claws[i][0] for i in self.unchecked]
+                value = _transfer_output(self.variant, bits)
             self.result = {"b": self.b, "value": value,
                            "caught": bool(msg["payload"]["caught"])}
             return []
@@ -633,14 +638,9 @@ class OtSenderParty:
             if caught:
                 r0_bits = [int(t) for t in self.rng.integers(0, 2, self.lam)]
                 r1_bits = [int(t) for t in self.rng.integers(0, 2, self.lam)]
-            if self.variant == "indistinguishability":
-                r0 = r1 = 0
-                for u, v in zip(r0_bits, r1_bits):
-                    r0 ^= u
-                    r1 ^= v
-            else:
-                r0, r1 = tuple(r0_bits), tuple(r1_bits)
-            self.result = {"caught": caught, "r0": r0, "r1": r1}
+            self.result = {"caught": caught,
+                           "r0": _transfer_output(self.variant, r0_bits),
+                           "r1": _transfer_output(self.variant, r1_bits)}
             return [{"kind": "outcome", "payload": {"caught": caught}}]
 
 
@@ -688,8 +688,7 @@ class PoqVerifierParty:
 
     def _round_params(self):
         r = int(self.rng.integers(0, 2))
-        seed = int(self.rng.integers(0, 1 << 63))
-        pp, sp = tcf.gen("dual", r, self.n, 0, 1, seed)
+        pp, sp = osp._dual_family(r, self.n, self.rng)
         self.current = {"r": r, "sp": sp, "s": None, "a": None}
         self.expected = ("evaluation",)
         payload = _wire_params(pp)
@@ -704,9 +703,7 @@ class PoqVerifierParty:
             y = gf2.text_to_bits(msg["payload"]["y"])
             d = gf2.text_to_bits(msg["payload"]["d"])
             cur = self.current
-            cur["s"] = osp.two_round_decode(cur["sp"], cur["r"], y, d)
-            if cur["s"] is None:  # honest images always decode
-                raise ValueError("y is not an image of the round's family")
+            cur["s"] = _decode(cur["sp"], cur["r"], y, d)
             cur["a"] = int(self.rng.integers(0, 2))
             return [{"kind": "challenge",
                      "payload": {"round": self.index, "a": cur["a"]}}]
@@ -716,7 +713,7 @@ class PoqVerifierParty:
                 raise ValueError("answer for round %r, not %d" % (r, self.index))
             cur = self.current
             b = int(msg["payload"]["b"])
-            accept = b == (cur["s"] ^ (cur["r"] & cur["a"]))
+            accept = b == _accepted(cur["s"], cur["r"], cur["a"])
             self.accepted += accept
             verdict = {"kind": "verdict",
                        "payload": {"round": self.index, "accept": bool(accept)}}
@@ -758,9 +755,8 @@ class PoqProverParty:
                                  "y": gf2.bits_to_text(y),
                                  "d": gf2.bits_to_text(d)}}]
         if msg["kind"] == "challenge":
-            a = int(msg["payload"]["a"])
-            basis = qsim.Basis.XPLUSZ if a == 0 else qsim.Basis.XMINUSZ
-            b = qsim.measure_descriptor(self.residual, basis, self.rng)
+            b = _honest_answer(self.residual, int(msg["payload"]["a"]),
+                               self.rng)
             return [{"kind": "answer",
                      "payload": {"round": msg["payload"]["round"], "b": b}}]
         if msg["kind"] == "verdict":

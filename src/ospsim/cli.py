@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -37,12 +38,33 @@ def _positive_int(text) -> int:
     return int(text)
 
 
+def _input_width(text) -> int:
+    """The type of --n: a positive integer no wider than tcf.MAX_N."""
+    n = _positive_int(text)
+    if n > tcf.MAX_N:
+        raise argparse.ArgumentTypeError("%r exceeds the %d-bit input limit "
+                                         "of the claw families"
+                                         % (text, tcf.MAX_N))
+    return n
+
+
+def _unit_interval(text) -> float:
+    """The type of --threshold: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError("%r is not a number in [0, 1]" % text)
+    return value
+
+
 _OPTIONS = {
     "trials": ("--trials", dict(type=_positive_int,
                                 help="number of rounds or repetitions")),
     "lam": ("--lambda", dict(dest="lam", type=_positive_int,
                              help="instance count / security parameter")),
-    "n": ("--n", dict(type=_positive_int, help="claw-function input width")),
+    "n": ("--n", dict(type=_input_width, help="claw-function input width")),
     "delta": ("--delta", dict(type=str,
                               help="claw density as a fraction, e.g. 1/2")),
 }
@@ -297,6 +319,9 @@ def cmd_cvqc(args):
 def cmd_osp_trace(args):
     with _reading("--delta"):
         delta = Fraction(args.delta)
+    if delta not in (Fraction(1, 2), 1):
+        raise _UsageError("--delta: the amplified path runs at k = 1, so it "
+                          "takes 1/2 or 1")
     seed = _seed_of(args)
     rng = harness.derive_rng(seed, "osp-trace", args.path)
     b = args.b
@@ -318,7 +343,7 @@ def cmd_osp_trace(args):
     if out.aborted:
         print("aborted (no claw survived)")
         return 1
-    norm = qsim.projection_norm(out, "OSP")
+    norm = math.sqrt(qsim.fidelity(out.receiver_state, out.target))
     print("b=%d s=%d state=%s" % (out.b, out.s, out.receiver_state))
     print("target-projection norm=%.12f" % norm)
     if args.out:
@@ -357,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("puzzle", help="1-of-2 puzzle roundtrip")
     _add_common(p, lam=1024, n=2)
-    p.add_argument("--threshold", type=float, default=0.82)
+    p.add_argument("--threshold", type=_unit_interval, default=0.82)
     p.add_argument("--source", choices=("auto", "tcf", "ideal"),
                    default="auto")
     p.set_defaults(func=cmd_puzzle)

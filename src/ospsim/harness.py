@@ -189,14 +189,6 @@ class Transcript:
         """Canonical bytes of the message list alone."""
         return canonical_json([m.to_dict() for m in self.messages])
 
-    @classmethod
-    def load(cls, path) -> "Transcript":
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        messages = [Message.from_dict(m) for m in obj["messages"]]
-        return cls(obj["protocol"], int(obj["seed"]), obj["session"],
-                   obj["role"], obj["outcome"], messages)
-
 
 # ------------------------------------------------------------- seed handling
 

@@ -13,7 +13,10 @@ H^b|s> for a bit s known only to the sender.  Four routes are implemented:
   the standard basis pair.
 
 Structured states carry the whole protocol; dense simulation only appears
-in tests as the oracle.
+in tests as the oracle.  Every outcome names the state its receiver should
+hold as ``target``, and a path is correct when qsim.fidelity of the two
+is 1.  The delta-1 dual family that two_round_osp publishes is drawn by
+_dual_family, which the quantumness test in apps shares.
 """
 
 from __future__ import annotations
@@ -37,6 +40,17 @@ class CsgOutcome:
     aborted: bool = False
     differentiated: bool = False
 
+    @property
+    def target(self) -> qsim.TwoBranchState:
+        """The claw state (|x0> + (-1)^z |x1>)/sqrt2, behind a tag wire
+        reading 0 and 1 on the two branches once differentiated."""
+        if self.x0 == self.x1:
+            raise ValueError("a degenerate claw x0 = x1 has no claw state")
+        u, v = self.x0, self.x1
+        if self.differentiated:
+            u, v = (0,) + u, (1,) + v
+        return qsim.TwoBranchState(len(u), u, v, -1 if self.z else 1)
+
 
 @dataclass
 class OspOutcome:
@@ -45,6 +59,11 @@ class OspOutcome:
     receiver_state: qsim.TwoBranchState | None
     transcript: list = field(default_factory=list)
     aborted: bool = False
+
+    @property
+    def target(self) -> qsim.TwoBranchState:
+        """H^b|s>, the qubit an outcome that did not abort hands over."""
+        return PREPARED_STATES[self.b == 0, self.s]
 
 
 def _msg(transcript, role, kind, **payload):
@@ -198,6 +217,11 @@ def two_round_receiver(pp, rng):
     return y, d, residual
 
 
+def _dual_family(mode: int, n: int, rng):
+    """The delta-1 dual family in the given mode, from one fresh seed."""
+    return tcf.gen("dual", mode, n, 0, 1, int(rng.integers(0, 1 << 63)))
+
+
 def two_round_osp(b: int, rng, n: int = 4) -> OspOutcome:
     """Two-message preparation from the dual-mode family (delta = 1).
 
@@ -206,8 +230,7 @@ def two_round_osp(b: int, rng, n: int = 4) -> OspOutcome:
     sampled image y and the Hadamard results d over the x register, and
     keeps the branch qubit.  Decoding reads s off the trapdoor.
     """
-    seed = int(rng.integers(0, 1 << 63))
-    pp, sp = tcf.gen("dual", b, n, 0, 1, seed)
+    pp, sp = _dual_family(b, n, rng)
     transcript = []
     _msg(transcript, "sender", "family-params", **pp.serialize())
 

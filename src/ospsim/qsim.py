@@ -29,7 +29,8 @@ Conventions
   through it; ObservableLaw's two outcomes are the comparison
   rng.random() < p_plus.
 * fidelity of two TwoBranchStates is a closed form over their supports
-  and phases; it builds no dense state.
+  and phases; it builds no dense state.  It is also how a preparation
+  outcome is checked against the target state the outcome names.
 * Named gates on a one-qubit descriptor are memoised: there are 18 such
   descriptors, so apply_1q computes each (descriptor, gate name) pair
   through a dense state once.
@@ -571,47 +572,6 @@ def fidelity(a, b) -> float:
     if va.size != vb.size:
         raise ValueError("state sizes differ")
     return float(abs(np.vdot(va, vb)) ** 2)
-
-
-def projection_norm(outcome, protocol: str) -> float:
-    """Norm of the correctness projector applied to an outcome's state.
-
-    `outcome` carries the classical fields and the receiver state; the
-    protocol tag picks which projector family applies:
-
-    * "OSP": fields (b, s), single-qubit state; target H^b|s>.
-    * "CSG": fields (x0, x1, z), n-qubit state; target the claw pair
-      superposition, with no projector term when x0 == x1.
-    * "DBCSG": same with a leading tag qubit on each branch.
-    """
-    tag = protocol.upper()
-    state = densify(outcome.receiver_state)
-    vec = state.amplitudes
-    if tag == "OSP":
-        s, b = int(outcome.s), int(outcome.b)
-        target = np.zeros(2, dtype=complex)
-        target[s] = 1.0
-        if b:
-            target = GATES["H"] @ target
-        if vec.size != 2:
-            raise ValueError("OSP projector expects a single qubit")
-        return float(abs(np.vdot(target, vec)))
-    if tag in ("CSG", "DBCSG"):
-        x0 = tuple(outcome.x0)
-        x1 = tuple(outcome.x1)
-        z = int(outcome.z)
-        if x0 == x1:
-            return 0.0
-        if tag == "DBCSG":
-            u, v = (0,) + x0, (1,) + x1
-        else:
-            u, v = x0, x1
-        target = TwoBranchState(len(u), u, v, -1.0 if z else 1.0)
-        tvec = target.densify().amplitudes
-        if tvec.size != vec.size:
-            raise ValueError("state width mismatch for %s projector" % tag)
-        return float(abs(np.vdot(tvec, vec)))
-    raise ValueError("unknown protocol tag %r" % protocol)
 
 
 def dense_to_two_branch(state: DenseState) -> TwoBranchState:

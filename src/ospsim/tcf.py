@@ -40,6 +40,10 @@ import numpy as np
 
 from . import gf2
 
+# The widest input: a dual family's n + 2 output bits fill the 20-qubit
+# dense budget.
+MAX_N = 18
+
 
 @dataclass(frozen=True)
 class TcfPublic:
@@ -76,10 +80,8 @@ def gen(family: str, mu: int, n: int, k: int, delta, seed: int):
     produces the lossy map when mu=1 and the branch-disjoint map when mu=0.
     """
     delta = Fraction(delta)
-    if n + 2 > 20:
-        raise ValueError("n + 2 must stay within the 20-qubit dense budget")
-    if n < 1:
-        raise ValueError("need at least one input bit")
+    if not 1 <= n <= MAX_N:
+        raise ValueError("n must lie in [1, %d]" % MAX_N)
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     scaled = delta * (1 << k)

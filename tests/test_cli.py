@@ -206,6 +206,35 @@ def test_a_hamiltonian_without_x_terms_needs_kappa_one(tmp_path, monkeypatch,
         "puzzle-lambda", "ot-lambda", "osp-trace-n"])
 def test_counts_are_checked_before_any_work(argv, message, monkeypatch,
                                             capsys):
+    _assert_refused_before_work(argv, message, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([cmd, "--n", "19"],
+     "ospsim %s: error: argument --n: '19' exceeds the 18-bit input limit "
+     "of the claw families" % cmd)
+    for cmd in ("poq", "puzzle", "osp-trace")
+] + [
+    (["osp-trace", "--path", "amplified", "--delta", delta],
+     "ospsim osp-trace: error: --delta: the amplified path runs at k = 1, "
+     "so it takes 1/2 or 1")
+    for delta in ("0", "1/3", "3/2")
+] + [
+    (["puzzle", "--threshold", value],
+     "ospsim puzzle: error: argument --threshold: %r is not a number in "
+     "[0, 1]" % value)
+    for value in ("nan", "1.5", "-0.1")
+], ids=["poq-n-19", "puzzle-n-19", "osp-trace-n-19", "delta-0",
+        "delta-1/3", "delta-3/2", "threshold-nan", "threshold-1.5",
+        "threshold-negative"])
+def test_out_of_range_values_are_refused_before_any_work(argv, message,
+                                                         monkeypatch, capsys):
+    """Widths past tcf.MAX_N, densities the amplified path cannot build and
+    thresholds outside [0, 1] are usage errors, not tracebacks."""
+    _assert_refused_before_work(argv, message, monkeypatch, capsys)
+
+
+def _assert_refused_before_work(argv, message, monkeypatch, capsys):
     def no_work(*_labels):
         raise AssertionError("the command started work")
 
@@ -286,7 +315,8 @@ def test_cli_out_file_holds_the_client_transcript(capsys, tmp_path):
     capsys.readouterr()
     assert code == 0
     client = harness.run_local("ot", 7, config)["client"]
-    assert harness.Transcript.load(path).to_bytes() == client.to_bytes()
+    saved = json.loads(path.read_text())
+    assert harness.canonical_json(saved) == client.to_bytes()
     assert path.read_text().endswith("}\n")
 
 

@@ -4,7 +4,6 @@ import cmath
 import hashlib
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +14,12 @@ from ospsim import apps, gf2, osp, qsim, tcf
 
 def rng_for(seed):
     return np.random.default_rng(seed)
+
+
+def on_target(out) -> bool:
+    """Whether an outcome's receiver state is its target, in fidelity."""
+    return qsim.fidelity(out.receiver_state, out.target) == pytest.approx(
+        1.0, abs=1e-9)
 
 
 class ScriptedRng:
@@ -44,7 +49,7 @@ def test_csg_plain_family_roundtrip():
     assert tcf.eval(pp, 0, out.x0) == tcf.eval(pp, 0, out.x1)
     assert out.receiver_state.u == out.x0
     assert out.receiver_state.v == out.x1
-    assert qsim.projection_norm(out, "CSG") == pytest.approx(1.0, abs=1e-9)
+    assert on_target(out)
     roles = [m["role"] for m in out.transcript]
     assert roles[0] == "sender" and "receiver" in roles
 
@@ -56,7 +61,7 @@ def test_csg_lossy_family_plain_view():
     assert len(out.x0) == 4 and len(out.x1) == 4
     assert out.x0[0] == 0 and out.x1[0] == 1
     assert tcf.eval(pp, 0, out.x0[1:]) == tcf.eval(pp, 1, out.x1[1:])
-    assert qsim.projection_norm(out, "CSG") == pytest.approx(1.0, abs=1e-9)
+    assert on_target(out)
 
 
 def test_csg_rejects_clawless_family():
@@ -97,7 +102,7 @@ def test_differentiate_tag_example():
     tag_msg = out.transcript[-1]
     assert tag_msg["kind"] == "tag-vector"
     assert tag_msg["payload"]["t"] == "10"
-    assert qsim.projection_norm(out, "DBCSG") == pytest.approx(1.0, abs=1e-9)
+    assert on_target(out)
 
 
 def test_differentiate_carries_phase():
@@ -145,7 +150,7 @@ def test_osp_from_csg_basis_bit_formula():
     out = osp.osp_from_csg(source_out, None, rng)
     assert out.b == 1
     assert out.s == 0
-    assert qsim.projection_norm(out, "OSP") == pytest.approx(1.0, abs=1e-9)
+    assert on_target(out)
 
 
 def test_osp_from_csg_norm_sweep():
@@ -159,7 +164,7 @@ def test_osp_from_csg_norm_sweep():
         assert not out.aborted
         assert out.s in (0, 1)
         seen_b.add(out.b)
-        assert qsim.projection_norm(out, "OSP") == pytest.approx(1.0, abs=1e-9)
+        assert on_target(out)
     assert seen_b == {0, 1}
 
 
@@ -172,7 +177,7 @@ def test_osp_from_csg_chosen_basis():
             claw = osp.differentiate(osp.csg_from_tcf(pp, sp, rng), rng)
             out = osp.osp_from_csg(claw, want, rng)
             assert out.b == want
-            assert qsim.projection_norm(out, "OSP") == pytest.approx(1.0, abs=1e-9)
+            assert on_target(out)
             assert any(m["kind"] == "basis-correction" for m in out.transcript)
 
 
@@ -233,7 +238,7 @@ def test_two_round_shape_and_norm():
             out = osp.two_round_osp(b, rng, n=3)
             assert not out.aborted
             assert out.b == b and out.s in (0, 1)
-            assert qsim.projection_norm(out, "OSP") == pytest.approx(1.0, abs=1e-9)
+            assert on_target(out)
             roles = [m["role"] for m in out.transcript]
             assert roles == ["sender", "receiver"]
 
@@ -288,7 +293,7 @@ def test_amplified_norms_and_aborts():
     for _ in range(30):
         out = osp.amplified_two_round_osp(0, 3, rng)
         assert not out.aborted
-        assert qsim.projection_norm(out, "OSP") == pytest.approx(1.0, abs=1e-9)
+        assert on_target(out)
     aborts = 0
     for _ in range(60):
         out = osp.amplified_two_round_osp(1, 3, rng)
@@ -296,7 +301,7 @@ def test_amplified_norms_and_aborts():
             aborts += 1
             assert out.s is None
             continue
-        assert qsim.projection_norm(out, "OSP") == pytest.approx(1.0, abs=1e-9)
+        assert on_target(out)
     assert aborts <= 5  # expected rate (1/2)^6 per run
 
 
@@ -306,7 +311,7 @@ def test_amplified_single_instance_reduces_cleanly():
         for _ in range(20):
             out = osp.amplified_two_round_osp(b, 1, rng, n=3, k=0, delta=1)
             assert not out.aborted
-            assert qsim.projection_norm(out, "OSP") == pytest.approx(1.0, abs=1e-9)
+            assert on_target(out)
 
 
 def test_amplified_support_matches_brute_force():
@@ -359,8 +364,7 @@ def test_tcf_source_matches_contract():
     rng = rng_for(51)
     for b in (0, 1):
         s, d = src(b, rng)
-        record = SimpleNamespace(b=b, s=s, receiver_state=d)
-        assert qsim.projection_norm(record, "OSP") == pytest.approx(1.0, abs=1e-9)
+        assert on_target(osp.OspOutcome(b, s, d))
 
 
 # ------------------------------------------------------------- angle pipeline
@@ -467,7 +471,7 @@ def test_epsilon_pipeline_exact_norm():
             out = osp.epsilon_to_standard(cfg, b, rng)
             assert not out.aborted
             assert out.s in (0, 1)
-            assert qsim.projection_norm(out, "OSP") == pytest.approx(1.0, abs=1e-9)
+            assert on_target(out)
 
 
 def test_epsilon_pipeline_starvation():
@@ -493,7 +497,7 @@ def test_epsilon_pipeline_with_protocol_source():
             out = osp.epsilon_to_standard(cfg, b, rng, standard_source=src)
             if out.aborted:
                 continue
-            assert qsim.projection_norm(out, "OSP") == pytest.approx(1.0, abs=1e-9)
+            assert on_target(out)
             done += 1
 
 

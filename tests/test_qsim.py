@@ -1,13 +1,12 @@
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import apply_bit_function, basis_vector, drop_qubits, trace_distance
-from ospsim import gf2, qsim
+from ospsim import gf2, osp, qsim
 from ospsim.qsim import (
     AffineBranchState,
     Basis,
@@ -17,7 +16,6 @@ from ospsim.qsim import (
     collapse_two_branch,
     fidelity,
     measure,
-    projection_norm,
 )
 
 RS = math.sqrt(0.5)
@@ -398,42 +396,45 @@ def test_trace_distance_dimension_mismatch():
         trace_distance(DenseState.from_bits((0,)), DenseState.from_bits((0, 0)))
 
 
-# ----------------------------------------------------------- projection norm
+# ------------------------------------------------------- outcome targets
 
 
-def test_projection_norm_osp_eigenstate():
-    rec = SimpleNamespace(s=0, b=1, receiver_state=DenseState([RS, RS]))
-    assert abs(projection_norm(rec, "OSP") - 1.0) < 1e-12
+@pytest.mark.parametrize("b,s", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_osp_target_is_h_to_the_b_on_s(b, s):
+    vec = basis_vector(Basis.Z, s)
+    if b:
+        vec = qsim.GATES["H"] @ vec
+    target = osp.OspOutcome(b, s, None).target
+    assert np.allclose(target.densify().amplitudes, vec)
+    assert fidelity(target, DenseState(vec)) == pytest.approx(1.0, abs=1e-12)
+    # |s> itself projects onto H|s> with norm sqrt(1/2)
+    assert fidelity(target, DenseState.from_bits((s,))) == pytest.approx(
+        0.5 if b else 1.0, abs=1e-12)
 
 
-def test_projection_norm_osp_partial():
-    rec = SimpleNamespace(s=0, b=1, receiver_state=DenseState.from_bits((0,)))
-    assert abs(projection_norm(rec, "OSP") - RS) < 1e-12
+def test_csg_target_is_the_claw_pair():
+    out = osp.CsgOutcome((0, 1, 0), (1, 1, 1), 0, None)
+    assert out.target == TwoBranchState(3, (0, 1, 0), (1, 1, 1), 1)
+    assert fidelity(out.target, DenseState.from_bits((0, 1, 0))) == (
+        pytest.approx(0.5, abs=1e-12))
 
 
-def test_projection_norm_csg_exact():
-    claw = TwoBranchState(3, (0, 1, 0), (1, 1, 1), 1)
-    rec = SimpleNamespace(x0=(0, 1, 0), x1=(1, 1, 1), z=0, receiver_state=claw)
-    assert abs(projection_norm(rec, "CSG") - 1.0) < 1e-12
-    rec_z = SimpleNamespace(
-        x0=(0, 1, 0),
-        x1=(1, 1, 1),
-        z=1,
-        receiver_state=TwoBranchState(3, (0, 1, 0), (1, 1, 1), -1),
-    )
-    assert abs(projection_norm(rec_z, "CSG") - 1.0) < 1e-12
+def test_csg_target_carries_the_minus_phase_when_z_is_one():
+    out = osp.CsgOutcome((0, 1, 0), (1, 1, 1), 1, None)
+    assert out.target == TwoBranchState(3, (0, 1, 0), (1, 1, 1), -1)
+    plus = osp.CsgOutcome((0, 1, 0), (1, 1, 1), 0, None).target
+    assert fidelity(out.target, plus) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_projection_norm_dbcsg():
-    claw = TwoBranchState(3, (0, 0, 1), (1, 1, 0), 1)
-    rec = SimpleNamespace(x0=(0, 1), x1=(1, 0), z=0, receiver_state=claw)
-    assert abs(projection_norm(rec, "DBCSG") - 1.0) < 1e-12
+def test_differentiated_csg_target_has_the_tag_wire():
+    out = osp.CsgOutcome((0, 1), (1, 0), 1, None, differentiated=True)
+    assert out.target == TwoBranchState(3, (0, 0, 1), (1, 1, 0), -1)
 
 
-def test_projection_norm_degenerate_claw_is_zero():
-    claw = TwoBranchState(2, (0, 1), (0, 1), 1)
-    rec = SimpleNamespace(x0=(0, 1), x1=(0, 1), z=0, receiver_state=claw)
-    assert projection_norm(rec, "CSG") == 0.0
+def test_degenerate_claw_has_no_target():
+    out = osp.CsgOutcome((0, 1), (0, 1), 0, None)
+    with pytest.raises(ValueError, match="degenerate claw"):
+        out.target
 
 
 # ------------------------------------------------------------------ helpers
