@@ -356,16 +356,6 @@ def _random_state(rng, qubits) -> qsim.DenseState:
     return qsim.DenseState(vec / np.linalg.norm(vec))
 
 
-def _apply_keys(state, x_keys, z_keys) -> qsim.DenseState:
-    for wire, bit in enumerate(z_keys):
-        if bit:
-            state = qsim.apply_gate(state, "Z", [wire])
-    for wire, bit in enumerate(x_keys):
-        if bit:
-            state = qsim.apply_gate(state, "X", [wire])
-    return state
-
-
 def criterion_6() -> CriterionResult:
     """Switchable-CNOT and phase gadgets hit gate^b exactly under the keys."""
     started = time.perf_counter()
@@ -380,13 +370,13 @@ def criterion_6() -> CriterionResult:
             if res.x_keys[0] != 0 or res.z_keys[1] != 0:
                 table_ok = False
             expected = qsim.apply_gate(inp, "CNOT", [0, 1]) if b else inp
-            expected = _apply_keys(expected, res.x_keys, res.z_keys)
+            expected = delegation.apply_keys(expected, res.x_keys, res.z_keys)
             worst_cnot = min(worst_cnot, qsim.fidelity(res.state, expected))
 
             phase, z_key, _ = gadgets.phase_readout(b, rng)
             pstate = qsim.apply_gate(inp, phase, [0])
             pexp = qsim.apply_gate(inp, "P", [0]) if b else inp
-            pexp = _apply_keys(pexp, (0, 0), (z_key, 0))
+            pexp = delegation.apply_keys(pexp, (0, 0), (z_key, 0))
             worst_phase = min(worst_phase, qsim.fidelity(pstate, pexp))
     passed = (worst_cnot >= 1 - 1e-9 and worst_phase >= 1 - 1e-9
               and table_ok)
@@ -493,18 +483,26 @@ def criterion_9() -> CriterionResult:
 def criterion_10() -> CriterionResult:
     """Transfer delivers r_b every time; the zero-state cheat gets caught."""
     started = time.perf_counter()
-    rng = _rng("c10")
+
+    def session(config, *labels):
+        """One in-process session's (receiver, sender) results."""
+        seed = harness.derive_seed(ACCEPT_SEED, "c10", *labels)
+        out = harness.run_local("ot", seed, config)
+        return out["client"].outcome["result"], out["server"].outcome["result"]
+
     honest = {}
     for variant in ("search", "indistinguishability"):
         for b in (0, 1):
             good = 0
-            for _ in range(500):
-                out = apps.ot_run(variant, b, 8, rng)
-                wanted = out.r1 if b else out.r0
-                good += (not out.caught) and out.receiver_value == wanted
+            for i in range(500):
+                receiver, sender = session(
+                    {"lam": 8, "b": b, "variant": variant}, variant, b, i)
+                wanted = sender["r1"] if b else sender["r0"]
+                good += (not sender["caught"]) and receiver["value"] == wanted
             honest[(variant, b)] = good
-    caught = sum(apps.ot_run("search", None, 32, rng, "zero-states").caught
-                 for _ in range(100))
+    cheat = {"lam": 32, "b": None, "variant": "search", "cheat": "zero-states"}
+    caught = sum(session(cheat, "zero-states", i)[1]["caught"]
+                 for i in range(100))
     passed = all(v == 500 for v in honest.values()) and caught >= 99
     detail = ("honest r_b: %s of 500 each; cheater caught %d/100 (floor 99)"
               % (sorted(honest.values()), caught))

@@ -12,12 +12,13 @@ The pieces here stay at desk scale but run the real message flows:
 - a public-key bit encryption scheme riding on the switchable-CNOT gadget
 
 Message-passing protocols (the quantumness test and oblivious transfer)
-are written as party objects with an ``on_message`` method so the same
-code runs in-process and over a socket harness.  poq_run stays a direct
-loop for speed, so each rule of the quantumness test (the family draw,
-decode-or-refuse, the accepted answer s xor r*a and the honest X+Z/X-Z
-readout) lives in one private helper that it, the extractor, the puzzles
-and the parties share.
+are written as party objects with an ``on_message`` method; this module
+holds no driver for them.  harness.run_local runs a session in process
+and the socket drivers run it over TCP, with the same seeds and the same
+transcript.  poq_run stays a direct loop for speed, so each rule of the
+quantumness test (the family draw, decode-or-refuse, the accepted answer
+s xor r*a and the honest X+Z/X-Z readout) lives in one private helper
+that it, the extractor, the puzzles and the parties share.
 """
 
 from __future__ import annotations
@@ -49,21 +50,6 @@ def descriptor_from_json(obj) -> qsim.TwoBranchState:
         gf2.text_to_bits(obj["v"]),
         qsim.PHASE_GRID[int(obj["phase"]) % 8],
     )
-
-
-def _drive(client, server):
-    """Deliver messages between two parties until both fall silent."""
-    transcript = []
-    queue = [(client, None)]
-    while queue:
-        party, incoming = queue.pop(0)
-        replies = party.on_message(incoming)
-        peer = server if party is client else client
-        for msg in replies:
-            transcript.append({"role": party.role, "kind": msg["kind"],
-                               "payload": msg["payload"]})
-            queue.append((peer, msg))
-    return transcript
 
 
 def _expect(party, msg):
@@ -384,6 +370,9 @@ def commit_run(bit: int, lam: int, rng, source: str = "ideal",
     return CommitResult(bit, tuple(s_bits), descriptors, verdict)
 
 
+BINDING_PROBE_MAX_QUBITS = 16  # the probe scans 2^width amplitudes twice
+
+
 def binding_probe(state) -> tuple:
     """Best opening probabilities of an arbitrary receiver-side state.
 
@@ -391,8 +380,9 @@ def binding_probe(state) -> tuple:
     on every qubit; their sum is bounded by 1 + 2^-lam for any state.
     """
     dense = qsim.densify(state)
-    if dense.num_qubits > 16:
-        raise ValueError("binding probe limited to 16 qubits")
+    if dense.num_qubits > BINDING_PROBE_MAX_QUBITS:
+        raise ValueError("binding probe limited to %d qubits"
+                         % BINDING_PROBE_MAX_QUBITS)
     pr0 = float(np.max(np.abs(dense.amplitudes) ** 2))
     rotated = dense
     for q in range(dense.num_qubits):
@@ -444,18 +434,6 @@ def _open_with_seed(com, seed):
 
 
 # ------------------------------------------------- 1-of-2 oblivious transfer
-
-
-@dataclass
-class OtResult:
-    variant: str
-    b: int
-    receiver_value: object
-    r0: object
-    r1: object
-    caught: bool
-    per_index: list
-    transcript: list
 
 
 def _transfer_output(variant: str, bits):
@@ -642,29 +620,6 @@ class OtSenderParty:
                            "r0": _transfer_output(self.variant, r0_bits),
                            "r1": _transfer_output(self.variant, r1_bits)}
             return [{"kind": "outcome", "payload": {"caught": caught}}]
-
-
-def ot_run(variant: str, b, lam: int, rng, cheat: str = None) -> OtResult:
-    """Full oblivious-transfer session between in-process parties.
-
-    The sender ends with random (r0, r1); an honest receiver ends with
-    the one selected by its choice bit and no information on the other.
-    """
-    recv_rng = np.random.default_rng(int(rng.integers(0, 1 << 63)))
-    send_rng = np.random.default_rng(int(rng.integers(0, 1 << 63)))
-    receiver = OtReceiverParty(b, lam, variant, recv_rng, cheat)
-    sender = OtSenderParty(lam, variant, send_rng)
-    transcript = _drive(receiver, sender)
-    return OtResult(
-        variant=variant,
-        b=b,
-        receiver_value=receiver.result["value"],
-        r0=sender.result["r0"],
-        r1=sender.result["r1"],
-        caught=sender.result["caught"],
-        per_index=sender.per_index,
-        transcript=transcript,
-    )
 
 
 # ------------------------------------------------ quantumness-test parties

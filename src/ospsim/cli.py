@@ -25,10 +25,11 @@ _BENCH_HAM = "QUBITS 2\nX 0 1 0.5\nZ 0 1 0.5\n"
 
 
 def _default_seed() -> int:
+    text = os.environ.get("OSPSIM_SEED", "0")
     try:
-        return int(os.environ.get("OSPSIM_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise _UsageError("OSPSIM_SEED: %r is not an integer" % text) from None
 
 
 def _positive_int(text) -> int:
@@ -224,18 +225,15 @@ def cmd_ot(args):
         config["cheat"] = args.cheat
     if args.listen or args.connect:
         return _wire_session(args, "ot", config)
-    seed = _seed_of(args)
-    rng = harness.derive_rng(seed, "ot", "local")
-    result = apps.ot_run(args.variant, args.b, lam, rng, args.cheat)
-    print("variant=%s b=%d caught=%s" %
-          (result.variant, args.b, result.caught))
-    print("sender r0=%s r1=%s" % (result.r0, result.r1))
-    print("receiver value=%s" % (result.receiver_value,))
-    if args.out:
-        _write_json(args.out, {"command": "ot", "seed": seed, "lam": lam,
-                               "variant": args.variant, "b": args.b,
-                               "caught": bool(result.caught),
-                               "transcript": result.transcript})
+    transcripts = harness.run_local("ot", _seed_of(args), config)
+    receiver = transcripts["client"].outcome["result"]
+    sender = transcripts["server"].outcome["result"]
+    print("variant=%s b=%d caught=%s" % (args.variant, args.b,
+                                         sender["caught"]))
+    print("sender r0=%s r1=%s" % (sender["r0"], sender["r1"]))
+    print("receiver value=%s" % (receiver["value"],))
+    if args.out:  # the file a socket session's client writes
+        _write_json(args.out, transcripts["client"].to_json())
     return 0
 
 
@@ -259,8 +257,9 @@ def cmd_pke(args):
 
 def cmd_commit(args):
     lam = args.lam
-    if lam > 16:  # apps.binding_probe's limit, before 2^lam amplitudes exist
-        raise _UsageError("--lambda: binding probe limited to 16 qubits")
+    if lam > apps.BINDING_PROBE_MAX_QUBITS:  # before 2^lam amplitudes exist
+        raise _UsageError("--lambda: binding probe limited to %d qubits"
+                          % apps.BINDING_PROBE_MAX_QUBITS)
     seed = _seed_of(args)
     rng = harness.derive_rng(seed, "commit")
     code = 0

@@ -317,10 +317,9 @@ def delegate_on_state(circuit: Circuit, state: qsim.DenseState, input_bits,
 
     frame = PauliFrame([0] * k + list(pad), [0] * n)
     padded = [b ^ p for b, p in zip(bits, pad)]
-    transcript = [
-        {"role": "client", "kind": "padded-input",
-         "payload": {"bits": list(padded), "register": k}},
-    ]
+    transcript = []
+    osp._msg(transcript, "client", "padded-input", bits=list(padded),
+             register=k)
     split = k
     if not _stays_classical(circuit, k):
         state = state.tensor(qsim.DenseState.from_bits(padded))
@@ -344,9 +343,7 @@ def delegate_on_state(circuit: Circuit, state: qsim.DenseState, input_bits,
         frame.s[q] ^= z_key
         if name == "T":
             frame.apply_clifford("P", qubits)
-        transcript.append(
-            {"role": "server", "kind": "phase-outcome", "payload": {"m": m}}
-        )
+        osp._msg(transcript, "server", "phase-outcome", m=m)
     return DelegationResult(circuit, fused.flush(), frame, transcript,
                             tuple(padded))
 
@@ -360,10 +357,16 @@ def unpad_state(result: DelegationResult) -> qsim.DenseState:
     state = result.state
     if result.bits:
         state = state.tensor(qsim.DenseState.from_bits(result.bits))
-    for q, bit in enumerate(result.frame.s):
+    return apply_keys(state, result.frame.r, result.frame.s)
+
+
+def apply_keys(state: qsim.DenseState, x_keys, z_keys) -> qsim.DenseState:
+    """Z on each wire whose z key is set, then X on each whose x key is;
+    a Pauli one-time pad keyed so is undone by the same call."""
+    for q, bit in enumerate(z_keys):
         if bit:
             state = qsim.apply_gate(state, "Z", [q])
-    for q, bit in enumerate(result.frame.r):
+    for q, bit in enumerate(x_keys):
         if bit:
             state = qsim.apply_gate(state, "X", [q])
     return state
@@ -392,10 +395,7 @@ def classical_output_round(result: DelegationResult, rng, wires=None) -> tuple:
         raw, result.state = qsim.measure(result.state, dense, qsim.Basis.Z, rng)
         read = dict(zip(dense, raw))
     raw = [read[q] if q < split else result.bits[q - split] for q in qubits]
-    result.transcript.append(
-        {"role": "server", "kind": "readout",
-         "payload": {"wires": qubits, "bits": raw}}
-    )
+    osp._msg(result.transcript, "server", "readout", wires=qubits, bits=raw)
     return tuple(b ^ result.frame.r[q] for b, q in zip(raw, qubits))
 
 

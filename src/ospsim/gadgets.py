@@ -155,10 +155,10 @@ def ecnot_run(state: qsim.DenseState, v0: int, v1: int, b: int, rng,
 
 
 def _ecnot_transcript(m0: int, m1: int) -> list:
-    return [
-        {"role": "client", "kind": "helper-qubits", "payload": {}},
-        {"role": "server", "kind": "cnot-outcomes", "payload": {"m0": m0, "m1": m1}},
-    ]
+    transcript = []
+    osp._msg(transcript, "client", "helper-qubits")
+    osp._msg(transcript, "server", "cnot-outcomes", m0=m0, m1=m1)
+    return transcript
 
 
 # ------------------------------------------- claw states from switched CNOTs

@@ -1,8 +1,11 @@
 """Deterministic two-party session harness with a framed wire format.
 
 A protocol run is a sequence of messages between a client and a server
-party object (the same objects apps.py drives in process).  The harness
-pins down everything needed to make two runs comparable byte for byte:
+party object from apps.py.  The harness holds the only two drivers of
+those parties: run_local delivers their messages in process (_drive),
+and serve_on/connect_and_run exchange them as frames over a socket
+(_socket_session).  It pins down everything needed to make two runs
+comparable byte for byte:
 
 * every frame, the opening hello and each message alike, is canonical
   JSON (sorted keys, no insignificant whitespace) behind a 4-byte
@@ -276,20 +279,37 @@ class _Sequencer:
         self.counters[role] += 1
 
 
+def _drive(client, server, session: str) -> list:
+    """Deliver messages between two in-process parties until both fall
+    silent; returns them stamped, in delivery order.
+
+    The delivery queue is first-in first-out, so a multi-message reply is
+    recorded before any responses to it, as over a socket.
+    """
+    seq = _Sequencer(session)
+    messages = []
+    queue = [(client, None)]
+    while queue:
+        party, incoming = queue.pop(0)
+        peer = server if party is client else client
+        for raw in party.on_message(incoming):
+            messages.append(seq.stamp(party.role, raw))
+            queue.append((peer, raw))
+    return messages
+
+
 def run_local(protocol: str, seed: int, config=None) -> dict:
     """Drive one session fully in process; returns a transcript per role.
 
-    Both transcripts carry the same message list; each outcome holds the
-    owning party's result.  Message order matches the socket driver: the
-    delivery queue is first-in first-out, so a multi-message reply is
-    recorded before any responses to it.
+    This is the one in-process way to run a two-party protocol.  Both
+    transcripts carry the same message list, the one a socket session of
+    the same seed and config records; each outcome holds the owning
+    party's result.
     """
     config = dict(config or {})
     client = make_party(protocol, "client", seed, config)
     server = make_party(protocol, "server", seed, config)
-    seq = _Sequencer(session_id(protocol, seed))
-    messages = [seq.stamp(rec["role"], rec)
-                for rec in apps._drive(client, server)]
+    messages = _drive(client, server, session_id(protocol, seed))
     return {role: _finish(party, protocol, seed, role, "complete", None,
                           list(messages))
             for role, party in (("client", client), ("server", server))}

@@ -447,12 +447,12 @@ def combine_angles(first: qsim.TwoBranchState, second: qsim.TwoBranchState, rng)
     for d in (first, second):
         if d.width != 1 or d.is_basis:
             raise ValueError("combine_angles needs XY-plane descriptors")
+    # (|1> + p|0>)/sqrt2 is (|0> + conj(p)|1>)/sqrt2 up to a global phase.
+    a, b = (d.phase if d.u == (0,) else d.phase.conjugate()
+            for d in (first, second))
     success = int(rng.integers(0, 2)) == 0
-    if success:
-        phase = first.phase * second.phase
-    else:
-        phase = first.phase * second.phase.conjugate()
-    return success, qsim.plane_descriptor(phase)
+    return success, qsim.plane_descriptor(a * b if success
+                                          else a * b.conjugate())
 
 
 def epsilon_source_from_standard(standard_source, epsilon):

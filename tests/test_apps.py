@@ -292,14 +292,22 @@ def test_toy_commitment_roundtrip_and_extract():
     assert not apps.toy_verify(com, bad)
 
 
+def ot_results(seed, config):
+    """The (receiver, sender) results of one in-process OT session."""
+    out = harness.run_local("ot", seed, config)
+    return out["client"].outcome["result"], out["server"].outcome["result"]
+
+
 def test_ot_honest_delivers_chosen_value():
     for variant in ("search", "indistinguishability"):
         for b in (0, 1):
-            res = apps.ot_run(variant, b, 6, rng_for(100 + b))
-            assert not res.caught
-            expected = res.r0 if b == 0 else res.r1
-            assert res.receiver_value == expected
-            assert len(res.per_index) == 6
+            receiver, sender = ot_results(
+                100 + b, {"lam": 6, "b": b, "variant": variant})
+            assert not sender["caught"] and not receiver["caught"]
+            assert receiver["value"] == (sender["r0"] if b == 0
+                                         else sender["r1"])
+            if variant == "search":
+                assert len(receiver["value"]) == 6
 
 
 def test_honest_sessions_build_no_dense_state(monkeypatch):
@@ -325,7 +333,8 @@ def test_ot_per_index_branch_law():
     rng = rng_for(53)
     receiver = apps.OtReceiverParty(1, 5, "search", rng_for(54))
     sender = apps.OtSenderParty(5, "search", rng_for(55))
-    apps._drive(receiver, sender)
+    harness._drive(receiver, sender, "per-index")
+    assert len(sender.per_index) == 5
     for entry in sender.per_index:
         x0, x1, z = receiver.claws[entry["i"]]
         assert x0 ^ x1 == 1
@@ -344,20 +353,27 @@ def test_ot_worked_example_branch_values():
 
 
 def test_ot_cheater_gets_caught():
+    config = {"lam": 8, "b": None, "variant": "search", "cheat": "zero-states"}
     caught = 0
     for k in range(20):
-        res = apps.ot_run("search", None, 8, rng_for(200 + k),
-                          cheat="zero-states")
-        caught += res.caught
+        receiver, sender = ot_results(200 + k, config)
+        assert receiver["caught"] == sender["caught"]
+        assert receiver["value"] is None
+        caught += sender["caught"]
     assert caught >= 19
 
 
 def test_ot_transcript_shape():
-    res = apps.ot_run("indistinguishability", 0, 4, rng_for(56))
-    kinds = [m["kind"] for m in res.transcript]
-    assert kinds == ["obligations", "check-set", "openings", "outcome"]
-    roles = [m["role"] for m in res.transcript]
-    assert roles == ["client", "server", "client", "server"]
+    out = harness.run_local("ot", 56, {"lam": 4, "b": 0,
+                                       "variant": "indistinguishability"})
+    messages = out["client"].messages
+    assert messages == out["server"].messages
+    assert [m.kind for m in messages] == ["obligations", "check-set",
+                                          "openings", "outcome"]
+    assert [m.role for m in messages] == ["client", "server", "client",
+                                          "server"]
+    assert [m.seq for m in messages] == [0, 0, 1, 1]
+    assert {m.session for m in messages} == {out["client"].session}
 
 
 def test_ot_rejects_bad_arguments():

@@ -20,8 +20,6 @@ def test_seed_env_default(monkeypatch, capsys):
     cli.main(["poq", "--trials", "150", "--seed", "123"])
     via_flag = capsys.readouterr().out
     assert via_env == via_flag
-    monkeypatch.setenv("OSPSIM_SEED", "not-a-number")
-    assert cli.main(["poq", "--trials", "50"]) == 0
 
 
 def test_poq_out_summary(tmp_path, capsys):
@@ -234,6 +232,18 @@ def test_out_of_range_values_are_refused_before_any_work(argv, message,
     _assert_refused_before_work(argv, message, monkeypatch, capsys)
 
 
+@pytest.mark.parametrize("argv", [["poq", "--trials", "50"], ["ot"],
+                                  ["commit"]], ids=["poq", "ot", "commit"])
+def test_a_malformed_seed_variable_is_refused_before_any_work(argv,
+                                                              monkeypatch,
+                                                              capsys):
+    """A bad OSPSIM_SEED is refused like a bad --seed, not read as 0."""
+    monkeypatch.setenv("OSPSIM_SEED", "abc")
+    message = ("ospsim %s: error: OSPSIM_SEED: 'abc' is not an integer"
+               % argv[0])
+    _assert_refused_before_work(argv, message, monkeypatch, capsys)
+
+
 def _assert_refused_before_work(argv, message, monkeypatch, capsys):
     def no_work(*_labels):
         raise AssertionError("the command started work")
@@ -297,6 +307,27 @@ def test_cli_connect_against_harness_server(capsys):
     assert code == 0
     assert "status=complete" in out
     assert box["t"].outcome["status"] == "complete"
+
+
+def test_local_ot_is_the_session_a_socket_runs(capsys, tmp_path):
+    """A local run prints the in-process session's results and writes the
+    client transcript a socket session of the same seed writes."""
+    path = tmp_path / "local.json"
+    code = cli.main(["ot", "--lambda", "8", "--b", "1", "--seed", "7",
+                     "--out", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    config = {"lam": 8, "b": 1, "variant": "search"}
+    session = harness.run_local("ot", 7, config)
+    receiver = session["client"].outcome["result"]
+    sender = session["server"].outcome["result"]
+    assert out.splitlines() == [
+        "variant=search b=1 caught=False",
+        "sender r0=%s r1=%s" % (sender["r0"], sender["r1"]),
+        "receiver value=%s" % (receiver["value"],)]
+    assert receiver["value"] == sender["r1"]
+    saved = json.loads(path.read_text())
+    assert harness.canonical_json(saved) == session["client"].to_bytes()
 
 
 def test_cli_out_file_holds_the_client_transcript(capsys, tmp_path):

@@ -401,6 +401,26 @@ def test_combine_angles_closed_over_grid():
                 assert abs(merged.phase - snapped) < 1e-9
 
 
+def test_combine_angles_matches_the_dense_circuit():
+    """CNOT first -> second on the densified pair, then a Z readout of the
+    second qubit: each outcome has probability 1/2 and leaves the first
+    qubit in the descriptor returned for it, on either branch order."""
+    planes = [qsim.TwoBranchState(1, (u,), (1 - u,), phase)
+              for u in (0, 1) for phase in qsim.PHASE_GRID]
+    for first in planes:
+        for second in planes:
+            pair = first.densify().tensor(second.densify())
+            law = qsim.BasisLaw(qsim.apply_gate(pair, "CNOT", [0, 1]), [1],
+                                qsim.Basis.Z)
+            assert law.probs == pytest.approx([0.5, 0.5], abs=1e-12)
+            for m in (0, 1):
+                ok, merged = osp.combine_angles(first, second, ScriptedRng([m]))
+                assert ok == (m == 0)
+                post = drop_qubits(law.branch(m), [1], (m,))
+                assert qsim.fidelity(post, merged.densify()) == pytest.approx(
+                    1.0, abs=1e-9)
+
+
 def test_combine_angles_rejects_non_plane():
     with pytest.raises(ValueError):
         osp.combine_angles(

@@ -730,6 +730,16 @@ def test_measure_descriptor():
     assert qsim.measure_descriptor(qsim.plane_descriptor(1j), Basis.Y, rng) == 0
 
 
+@pytest.mark.parametrize("basis", list(Basis))
+def test_measure_descriptor_matches_the_dense_law(basis):
+    """On every one-qubit descriptor, the fast path reads 1 exactly when
+    the generator's u falls below the dense law's probability of 1."""
+    for descriptor in _DESCRIPTORS_1Q:
+        p1 = qsim.BasisLaw(descriptor.densify(), [0], basis).probs[1]
+        assert qsim.measure_descriptor(descriptor, basis, _Coin(p1 - 1e-12)) == 1
+        assert qsim.measure_descriptor(descriptor, basis, _Coin(p1 + 1e-12)) == 0
+
+
 def _grid_descriptors(width):
     strings = [gf2.int_to_bits(i, width) for i in range(1 << width)]
     out = [TwoBranchState(width, u, u) for u in strings]

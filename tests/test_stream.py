@@ -97,9 +97,15 @@ def _gadget_digest() -> str:
     for variant in ("search", "indistinguishability"):
         for b in (0, 1):
             for _ in range(10):
-                res = apps.ot_run(variant, b, 4, rng)
-                digest.update(repr((res.receiver_value, res.r0, res.r1,
-                                    res.caught, res.per_index)).encode())
+                recv_rng = np.random.default_rng(int(rng.integers(0, 1 << 63)))
+                send_rng = np.random.default_rng(int(rng.integers(0, 1 << 63)))
+                receiver = apps.OtReceiverParty(b, 4, variant, recv_rng)
+                sender = apps.OtSenderParty(4, variant, send_rng)
+                harness._drive(receiver, sender, "gadget-digest")
+                digest.update(repr((receiver.result["value"],
+                                    sender.result["r0"], sender.result["r1"],
+                                    sender.result["caught"],
+                                    sender.per_index)).encode())
     return digest.hexdigest()
 
 
