@@ -12,10 +12,11 @@ The pieces here stay at desk scale but run the real message flows:
 - a public-key bit encryption scheme riding on the switchable-CNOT gadget
 
 Message-passing protocols (the quantumness test and oblivious transfer)
-are written as party objects with an ``on_message`` method; this module
-holds no driver for them.  harness.run_local runs a session in process
-and the socket drivers run it over TCP, with the same seeds and the same
-transcript.  poq_run stays a direct loop for speed, so each rule of the
+are party objects with an ``on_message`` method, run in process by
+harness.run_local and over TCP by the socket drivers, with the same seeds
+and transcript.  MESSAGES is where each payload schema lives: _expect
+checks every peer message against it before any draw.  poq_run stays a
+direct loop for speed, so each rule of the
 quantumness test (the family draw, decode-or-refuse, the accepted answer
 s xor r*a and the honest X+Z/X-Z readout) lives in one private helper
 that it, the extractor, the puzzles and the parties share.
@@ -44,47 +45,9 @@ def descriptor_to_json(d: qsim.TwoBranchState) -> dict:
 
 
 def descriptor_from_json(obj) -> qsim.TwoBranchState:
-    return qsim.TwoBranchState(
-        int(obj["width"]),
-        gf2.text_to_bits(obj["u"]),
-        gf2.text_to_bits(obj["v"]),
-        qsim.PHASE_GRID[int(obj["phase"]) % 8],
-    )
-
-
-def _expect(party, msg):
-    """Refuse, before any draw, a message the party does not expect next;
-    else move the party on to the kinds that may follow this one."""
-    if msg["kind"] not in party.expected:
-        raise ValueError("unexpected message kind %r" % msg["kind"])
-    party.expected = party.FOLLOWS[msg["kind"]]
-
-
-def _wire_params(pp) -> dict:
-    """Public function parameters plus the full table, json-ready."""
-    payload = pp.serialize()
-    payload["table"] = [list(row) for row in pp.table]
-    return payload
-
-
-def _params_from_wire(payload) -> tcf.TcfPublic:
-    """The dual family a round-params payload describes.  The peer's n sizes
-    the prover's work, so a malformed payload raises ValueError first.  A
-    row must hold 2^n distinct m-bit values, as every family's rows do, so
-    an image has at most one preimage per branch."""
-    mode, n, m = payload["mode"], int(payload["n"]), int(payload["m"])
-    if (mode not in ("disjoint", "lossy") or not 1 <= n <= tcf.MAX_N
-            or m != n + 2):
-        raise ValueError("round-params need a dual family, 1 <= n <= %d, "
-                         "m = n + 2" % tcf.MAX_N)
-    table = tuple(tuple(row) for row in payload["table"])
-    if len(table) != 2 or any(len(row) != 1 << n or any(type(v) is not int for v in row)
-                              for row in table):
-        raise ValueError("round-params table must be two rows of 2^n ints")
-    if any(min(row) < 0 or max(row) >= 1 << m or len(set(row)) != len(row)
-           for row in table):
-        raise ValueError("round-params rows must hold distinct values in [0, 2^m)")
-    return tcf.TcfPublic(n=n, m=m, mode=mode, k=int(payload["k"]), table=table)
+    return qsim.TwoBranchState(obj["width"], gf2.text_to_bits(obj["u"]),
+                               gf2.text_to_bits(obj["v"]),
+                               qsim.PHASE_GRID[obj["phase"]])
 
 
 # ---------------------------------------------------------- quantumness test
@@ -419,10 +382,11 @@ def toy_commit(bits, rng):
 
 
 def toy_verify(com, opening) -> bool:
-    recomputed, _ = _open_with_seed(com, int(opening["seed"]))
-    return recomputed is not None and recomputed == tuple(
-        int(b) & 1 for b in opening["bits"]
-    )
+    """Whether opening opens com; an absent one of the two opens nothing."""
+    if com is None or opening is None:
+        return False
+    recomputed, _ = _open_with_seed(com, opening["seed"])
+    return recomputed is not None and recomputed == tuple(opening["bits"])
 
 
 def _open_with_seed(com, seed):
@@ -431,6 +395,132 @@ def _open_with_seed(com, seed):
         return None, seed
     mask = stream[_PRG_TAG_BYTES:]
     return tuple(m ^ (s & 1) for m, s in zip(com["masked"], mask)), seed
+
+
+# ------------------------------------------------------------ message table
+#
+# MESSAGES is the one schema of the peer messages: for each kind, the kinds
+# its receiver accepts next and the spec of its payload, which _expect
+# checks before the party draws, so each handler reads plain values.
+
+
+def _fault(name, v, spec, party, holder=None):
+    """None when v meets spec, else the sentence that refuses it.  A spec
+    is a dict of field specs (an absent field reads as None); a list
+    [spec, count] of count(party) entries, or any number for None; a
+    1-tuple (spec,) for a field that may be absent; a function, called
+    as f(name, v, party) in _fault's stead; or a leaf (ok, need), with
+    ok(v, party, holder) testing v, holder being the dict holding v."""
+    if type(spec) is dict:
+        if type(v) is not dict:
+            return "%s must be an object" % (name or "payload")
+        for key, sub in spec.items():
+            fault = _fault(key, v.get(key), sub, party, v)
+            if fault:
+                return fault if name is None else "%s.%s" % (name, fault)
+    elif type(spec) is list:
+        entry, count = spec
+        if type(v) is not list or count and len(v) != count(party):
+            return "%s must be a list of %s entries" % (
+                name, count(party) if count else "any number of")
+        for j, item in enumerate(v):
+            fault = _fault("%s[%d]" % (name, j), item, entry, party, v)
+            if fault:
+                return fault
+    elif callable(spec):
+        return spec(name, v, party)
+    elif len(spec) == 1:
+        return None if v is None else _fault(name, v, spec[0], party, holder)
+    elif not spec[0](v, party, holder):  # need % vars(party) names a range
+        return "%s must be %s" % (name, spec[1] % vars(party))
+
+
+def _ints(lo: int, hi: int):  # a bool is no int here
+    return (lambda v, p, o: type(v) is int and lo <= v < hi,
+            "an int in [%d, %d)" % (lo, hi))
+
+
+def _text(width, need: str):  # a bit string of width(party) bits
+    return (lambda v, p, o: type(v) is str and len(v) == width(p)
+            and not v.strip("01"), need + " bits as text")
+
+
+def _check_set(name, v, party):
+    """lam distinct indices: one both opened and revealed gives away b."""
+    lam = party.lam
+    if (type(v) is not list or len(v) != lam or not all(
+            type(i) is int and 0 <= i < 2 * lam for i in v)
+            or len(set(v)) != lam):
+        return "check set must be %d distinct indices in [0, %d)" % (
+            lam, 2 * lam)
+
+
+_BIT = _ints(0, 2)
+_FLAG = (lambda v, p, o: type(v) is bool, "true or false")
+_ROUND = (lambda v, p, o: type(v) is int and v == p.index,
+          "%(index)d, the current round")
+_INDEX = (lambda v, p, o: type(v) is int and 0 <= v < 2 * p.lam,
+          "an index in [0, 2 * %(lam)d)")
+_CLAW = [_BIT, lambda p: 3]  # (x0, x1, z), opened or masked
+_TWO_BITS = _text(lambda p: 2, "2")
+
+MESSAGES = {
+    # quantumness test, verifier to prover, for no more rounds than agreed
+    "round-params": (("challenge",), {
+        "round": (lambda v, p, o: type(v) is int and v == p.index < p.rounds,
+                  "the current round %(index)d, below the %(rounds)d agreed"),
+        "mode": (lambda v, p, o: v in ("disjoint", "lossy"),
+                 "disjoint or lossy"),
+        "n": _ints(1, tcf.MAX_N + 1),
+        "m": (lambda v, p, o: type(v) is int and v == o["n"] + 2, "n + 2"),
+        "k": (lambda v, p, o: type(v) is int and 0 <= v <= o["n"],
+              "an int in [0, n]"),
+        "table": (lambda v, p, o: type(v) is list and len(v) == 2 and all(
+            type(row) is list and len(row) == 1 << o["n"]
+            and all(type(x) is int for x in row) and min(row) >= 0
+            and max(row) < 1 << o["m"] and len(set(row)) == len(row)
+            for row in v), "two rows of 2^n distinct values in [0, 2^m)")}),
+    "challenge": (("verdict",), {"round": _ROUND, "a": _BIT}),
+    "verdict": (("round-params",), {"round": _ROUND, "accept": _FLAG}),
+    # quantumness test, prover to verifier
+    "evaluation": (("answer",), {"round": _ROUND,
+                                 "y": _text(lambda p: p.n + 2, "%(n)d + 2"),
+                                 "d": _text(lambda p: p.n, "%(n)d")}),
+    "answer": ((), {"round": _ROUND, "b": _BIT}),
+    # oblivious transfer, receiver to sender; toy_verify fails a com or an
+    # opening that is absent
+    "obligations": (("openings",), {
+        "lam": (lambda v, p, o: type(v) is int and v == p.lam,
+                "%(lam)d, as agreed"),
+        "variant": (lambda v, p, o: v == p.variant, "%(variant)r, as agreed"),
+        "instances": [{
+            "state": {"width": _ints(2, 3), "u": _TWO_BITS, "v": _TWO_BITS,
+                      "phase": _ints(0, len(qsim.PHASE_GRID))},
+            "com": ({"tag": (lambda v, p, o: type(v) is str and len(v) == 8
+                             and not v.strip("0123456789abcdef"),
+                             "8 hex digits"), "masked": _CLAW},),
+        }, lambda p: 2 * p.lam]}),
+    "openings": ((), {
+        "checked": [{"i": _INDEX, "x0": _BIT, "x1": _BIT, "z": _BIT,
+                     "opening": ({"seed": _ints(0, 1 << _PRG_SEED_BITS),
+                                  "bits": _CLAW},)}, None],
+        "unchecked": [{"i": _INDEX, "b": _BIT}, None]}),
+    # oblivious transfer, sender to receiver
+    "check-set": (("outcome",), {"T": _check_set}),
+    "outcome": ((), {"caught": _FLAG}),
+}
+
+
+def _expect(party, msg):
+    """Refuse a message out of turn or off its spec, before any draw."""
+    kind = msg["kind"]
+    if kind not in party.expected:
+        raise ValueError("unexpected message kind %r" % kind)
+    follows, spec = MESSAGES[kind]
+    fault = _fault(None, msg["payload"], spec, party)
+    if fault:
+        raise ValueError(fault)
+    party.expected = follows
 
 
 # ------------------------------------------------- 1-of-2 oblivious transfer
@@ -452,9 +542,7 @@ class OtReceiverParty:
     """
 
     role = "client"
-    # The kinds a party accepts next, and the kinds that may follow each.
-    expected = ()
-    FOLLOWS = {"check-set": ("outcome",), "outcome": ()}
+    expected = ()  # the kinds accepted next; MESSAGES gives what follows
 
     def __init__(self, b, lam: int, variant: str, rng, cheat: str = None):
         if variant not in ("search", "indistinguishability"):
@@ -504,13 +592,8 @@ class OtReceiverParty:
                                  "instances": instances}}]
         _expect(self, msg)
         if msg["kind"] == "check-set":
-            check = sorted(int(i) for i in msg["payload"]["T"])
+            check = sorted(msg["payload"]["T"])
             picked = set(check)
-            # An index both opened and revealed would give b = b_i ^ x0 ^ x1.
-            if (len(check) != self.lam or len(picked) != self.lam
-                    or not all(0 <= i < 2 * self.lam for i in check)):
-                raise ValueError("check set must be %d distinct indices in "
-                                 "[0, %d)" % (self.lam, 2 * self.lam))
             checked = []
             for i in check:
                 x0, x1, z = self.claws[i]
@@ -519,23 +602,16 @@ class OtReceiverParty:
                     entry["opening"] = self.openings[i]
                 checked.append(entry)
             self.unchecked = [i for i in range(2 * self.lam) if i not in picked]
-            reveal = []
-            for i in self.unchecked:
-                x0, x1, z = self.claws[i]
-                if self.cheat is None:
-                    b_i = self.b ^ x0 ^ x1
-                else:
-                    b_i = int(self.rng.integers(0, 2))
-                reveal.append({"i": i, "b": b_i})
+            reveal = [{"i": i, "b": int(self.rng.integers(0, 2)) if self.cheat
+                       else self.b ^ self.claws[i][0] ^ self.claws[i][1]}
+                      for i in self.unchecked]
             return [{"kind": "openings",
                      "payload": {"checked": checked, "unchecked": reveal}}]
         if msg["kind"] == "outcome":
-            value = None
-            if self.cheat is None:
-                bits = [self.claws[i][0] for i in self.unchecked]
-                value = _transfer_output(self.variant, bits)
+            value = None if self.cheat else _transfer_output(
+                self.variant, [self.claws[i][0] for i in self.unchecked])
             self.result = {"b": self.b, "value": value,
-                           "caught": bool(msg["payload"]["caught"])}
+                           "caught": msg["payload"]["caught"]}
             return []
 
 
@@ -544,7 +620,6 @@ class OtSenderParty:
 
     role = "server"
     expected = ("obligations",)
-    FOLLOWS = {"obligations": ("openings",), "openings": ()}
 
     def __init__(self, lam: int, variant: str, rng):
         self.lam = lam
@@ -559,16 +634,8 @@ class OtSenderParty:
     def on_message(self, msg):
         _expect(self, msg)
         if msg["kind"] == "obligations":
-            payload = msg["payload"]
-            if payload["variant"] != self.variant or payload["lam"] != self.lam:
-                raise ValueError("obligation header mismatch")
-            instances = payload["instances"]
-            if len(instances) != 2 * self.lam:
-                raise ValueError("expected %d instances, got %d"
-                                 % (2 * self.lam, len(instances)))
+            instances = msg["payload"]["instances"]
             self.states = [descriptor_from_json(e["state"]) for e in instances]
-            if any(state.width != 2 for state in self.states):
-                raise ValueError("every instance state must have width 2")
             self.coms = [e.get("com") for e in instances]
             picked = self.rng.permutation(2 * self.lam)[: self.lam]
             self.check_set = tuple(sorted(int(i) for i in picked))
@@ -578,22 +645,17 @@ class OtSenderParty:
             unchecked = msg["payload"]["unchecked"]
             rest = [i for i in range(2 * self.lam) if i not in self.check_set]
             # Open exactly the check set, reveal b_i once for every other i.
-            caught = (sorted(int(e["i"]) for e in checked) != list(self.check_set)
-                      or sorted(int(e["i"]) for e in unchecked) != rest)
+            caught = (sorted(e["i"] for e in checked) != list(self.check_set)
+                      or sorted(e["i"] for e in unchecked) != rest)
             if caught:
                 checked = unchecked = []
             for entry in checked:
-                i = int(entry["i"])
-                declared = qsim.TwoBranchState(
-                    2,
-                    (0, int(entry["x0"])),
-                    (1, int(entry["x1"])),
-                    -1 if int(entry["z"]) else 1,
-                )
+                i, bits = entry["i"], (entry["x0"], entry["x1"], entry["z"])
+                declared = qsim.TwoBranchState(2, (0, bits[0]), (1, bits[1]),
+                                               -1 if bits[2] else 1)
                 if self.variant == "indistinguishability":
                     opening = entry.get("opening")
-                    bits = (int(entry["x0"]), int(entry["x1"]), int(entry["z"]))
-                    if (opening is None or not toy_verify(self.coms[i], opening)
+                    if (not toy_verify(self.coms[i], opening)
                             or tuple(opening["bits"]) != bits):
                         caught = True
                         continue
@@ -602,8 +664,7 @@ class OtSenderParty:
                     caught = True
             r0_bits, r1_bits = [], []
             for entry in unchecked:
-                i = int(entry["i"])
-                b_i = int(entry["b"])
+                i, b_i = entry["i"], entry["b"]
                 state = self.states[i]
                 if state.is_basis:
                     c, y = state.u
@@ -630,7 +691,6 @@ class PoqVerifierParty:
 
     role = "client"
     expected = ()
-    FOLLOWS = {"evaluation": ("answer",), "answer": ()}
 
     def __init__(self, rounds: int, rng, n: int = 3):
         self.rounds = rounds
@@ -646,8 +706,8 @@ class PoqVerifierParty:
         pp, sp = osp._dual_family(r, self.n, self.rng)
         self.current = {"r": r, "sp": sp, "s": None, "a": None}
         self.expected = ("evaluation",)
-        payload = _wire_params(pp)
-        payload["round"] = self.index
+        payload = dict(pp.serialize(), round=self.index,
+                       table=[list(row) for row in pp.table])
         return {"kind": "round-params", "payload": payload}
 
     def on_message(self, msg):
@@ -663,12 +723,9 @@ class PoqVerifierParty:
             return [{"kind": "challenge",
                      "payload": {"round": self.index, "a": cur["a"]}}]
         if msg["kind"] == "answer":
-            r = msg["payload"]["round"]
-            if type(r) is not int or r != self.index:
-                raise ValueError("answer for round %r, not %d" % (r, self.index))
             cur = self.current
-            b = int(msg["payload"]["b"])
-            accept = b == _accepted(cur["s"], cur["r"], cur["a"])
+            accept = msg["payload"]["b"] == _accepted(cur["s"], cur["r"],
+                                                      cur["a"])
             self.accepted += accept
             verdict = {"kind": "verdict",
                        "payload": {"round": self.index, "accept": bool(accept)}}
@@ -685,38 +742,39 @@ class PoqProverParty:
 
     The prover cannot tell the last round from the others, so it counts
     as finished whenever its latest round has closed: result is set by
-    each verdict and cleared by the next round-params.
+    each verdict and cleared by the next round-params.  It plays at most
+    the session's rounds.
     """
 
     role = "server"
     expected = ("round-params",)
-    FOLLOWS = {"round-params": ("challenge",), "challenge": ("verdict",),
-               "verdict": ("round-params",)}
 
-    def __init__(self, rng):
+    def __init__(self, rounds: int, rng):
+        self.rounds = rounds
         self.rng = rng
+        self.index = 0  # the current round, which the verdicts so far close
         self.residual = None
-        self.rounds = 0
         self.result = None
 
     def on_message(self, msg):
         _expect(self, msg)
+        body = msg["payload"]
         if msg["kind"] == "round-params":
             self.result = None
-            pp = _params_from_wire(msg["payload"])
+            pp = tcf.TcfPublic(body["n"], body["m"], body["mode"], body["k"],
+                               tuple(map(tuple, body["table"])))
             y, d, self.residual = osp.two_round_receiver(pp, self.rng)
             return [{"kind": "evaluation",
-                     "payload": {"round": msg["payload"]["round"],
+                     "payload": {"round": self.index,
                                  "y": gf2.bits_to_text(y),
                                  "d": gf2.bits_to_text(d)}}]
         if msg["kind"] == "challenge":
-            b = _honest_answer(self.residual, int(msg["payload"]["a"]),
-                               self.rng)
+            b = _honest_answer(self.residual, body["a"], self.rng)
             return [{"kind": "answer",
-                     "payload": {"round": msg["payload"]["round"], "b": b}}]
+                     "payload": {"round": self.index, "b": b}}]
         if msg["kind"] == "verdict":
-            self.rounds += 1
-            self.result = {"rounds": self.rounds}
+            self.index += 1
+            self.result = {"rounds": self.index}
             return []
 
 

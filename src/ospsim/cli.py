@@ -107,8 +107,8 @@ def _reading(flag=None):
 
 def _endpoint(text):
     host, _, port = text.rpartition(":")
-    if not port.isdigit():
-        raise _UsageError("endpoint %r is not HOST:PORT" % text)
+    if not port.isdecimal() or int(port) > 65535:
+        raise _UsageError("endpoint %r is not HOST:PORT, PORT <= 65535" % text)
     return host or "127.0.0.1", int(port)
 
 
@@ -124,13 +124,11 @@ def _write_json(path, obj):
 
 def _wire_session(args, protocol, config):
     seed = _seed_of(args)
-    if args.listen:
-        host, port = _endpoint(args.listen)
-        transcript = harness.serve_once(protocol, seed, host, port, config)
-    else:
-        host, port = _endpoint(args.connect)
-        transcript = harness.connect_and_run(protocol, seed, host, port,
-                                             config)
+    flag = "--listen" if args.listen else "--connect"
+    host, port = _endpoint(args.listen or args.connect)
+    run = harness.serve_once if args.listen else harness.connect_and_run
+    with _reading(flag):  # a refused, unreachable or busy endpoint
+        transcript = run(protocol, seed, host, port, config)
     print("session %s role=%s status=%s messages=%d"
           % (transcript.session, transcript.role,
              transcript.outcome["status"], len(transcript.messages)))

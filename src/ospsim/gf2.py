@@ -15,10 +15,8 @@ __all__ = [
     "text_to_bits",
     "xor_vec",
     "dot",
-    "rank",
     "row_reduce",
     "nullspace",
-    "span_contains",
     "sample_span",
     "solve_affine",
     "sample_solution",
@@ -78,28 +76,6 @@ def row_reduce(rows, width: int):
             basis.append(cur)
             basis.sort(reverse=True)
     return basis
-
-
-def _reduce_int(value: int, basis) -> int:
-    for piv in basis:
-        value = min(value, value ^ piv)
-    return value
-
-
-def rank(rows, width: int | None = None) -> int:
-    """GF(2) rank of an iterable of bit tuples."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    w = width if width is not None else len(rows[0])
-    return len(row_reduce([bits_to_int(r) for r in rows], w))
-
-
-def span_contains(basis_rows, v) -> bool:
-    """Whether bit tuple v lies in the span of the given bit-tuple rows."""
-    w = len(v)
-    packed = row_reduce([bits_to_int(r) for r in basis_rows], w)
-    return _reduce_int(bits_to_int(v), packed) == 0
 
 
 def nullspace(rows, width: int):

@@ -17,9 +17,9 @@ comparable byte for byte:
   reproduce exactly.
 
 Sessions over a socket open with one hello frame from each side, then
-alternate turns.  The hello carries HARNESS_VERSION, which changes with
-the framing or any message payload schema, so a peer of another version
-is refused at the hello rather than partway through a session.  A turn
+alternate turns.  The hello carries HARNESS_VERSION, which changes only
+with the framing or an honest payload (apps.MESSAGES holds each payload
+schema), so a peer of another version is refused at the hello.  A turn
 is zero or more frames closed by a turn marker; the session ends when
 both sides send an empty turn back to back.  A peer turn is read frame
 by frame, and reading stops at the first frame the party refuses; the
@@ -28,7 +28,8 @@ carries one session.  Whatever bytes a peer sends, a session ends with
 a transcript of status complete, error, timeout or disconnected; a
 malformed frame ends it with error.  complete means the party finished:
 a party sets its result only once its part is done (the poq prover,
-which cannot tell the last round, after each verdict).
+which cannot tell the last round, after each verdict; it refuses a
+round past the config's rounds).
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ def _poq_factory(role, seed, config):
     n = int(config.get("n", 3))
     if role == "client":
         return apps.PoqVerifierParty(rounds, rng, n)
-    return apps.PoqProverParty(rng)
+    return apps.PoqProverParty(rounds, rng)
 
 
 def _ot_factory(role, seed, config):

@@ -425,13 +425,6 @@ class EpsilonOspConfig:
             raise ValueError("layer budgets must be positive")
         object.__setattr__(self, "layer_budget", budget)
 
-    @classmethod
-    def standard(cls, epsilon, lam: int) -> "EpsilonOspConfig":
-        eps = Fraction(epsilon)
-        layers = eps.denominator.bit_length() - 1
-        budget = tuple(lam * 8 ** (layers - j) for j in range(layers + 1))
-        return cls(eps, budget)
-
     @property
     def layers(self) -> int:
         return self.epsilon.denominator.bit_length() - 1

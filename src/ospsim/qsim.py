@@ -21,9 +21,9 @@ Conventions
 * A dense measurement is a law and a post-state.  BasisLaw and
   ObservableLaw compute the outcome law of a state; their draw takes an
   outcome from one rng.random(), and their branch builds the state after
-  a given outcome.  measure, readout and measure_observable are those
-  three steps in a row (readout skips the branch), so a caller that
-  keeps a law and its branches draws exactly what those functions draw.
+  a given outcome.  measure and readout are those three steps in a row
+  (readout skips the branch), so a caller that keeps a law and its
+  branches draws exactly what those functions draw.
 * There is one outcome sampler, draw_index: it draws the index
   Generator.choice would draw, from the same one double.  BasisLaw draws
   through it; ObservableLaw's two outcomes are the comparison
@@ -364,16 +364,6 @@ class ObservableLaw:
         re, im = chosen.real, chosen.imag
         return _unblock(chosen / math.sqrt(re.dot(re) + im.dot(im)),
                         self.wires)
-
-
-def measure_observable(state: DenseState, observable, wires, rng):
-    """Two-outcome measurement of an involution on the listed wires.
-
-    Returns (bit, post-measurement DenseState); bit 0 means outcome +1.
-    """
-    law = ObservableLaw(state, observable, wires)
-    bit = law.draw(rng)
-    return bit, law.branch(bit)
 
 
 @dataclass(frozen=True)

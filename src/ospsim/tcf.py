@@ -192,19 +192,3 @@ def phase_invert(sp: TcfSecret, y, d):
     if len(d) != sp.public.n:
         raise ValueError("phase_invert needs an n-bit d")
     return gf2.dot(d, sp.shift) if _on_claw(sp, w) else None
-
-
-def claw_oracle(pp: TcfPublic) -> dict:
-    """Brute-force map from image int to the tuple of its preimages.
-
-    Preimages are x tuples for the plain family and (b, x) pairs for the
-    dual family. Ground truth for all decode tests; n <= 12 only.
-    """
-    if pp.n > 12:
-        raise ValueError("claw_oracle limited to n <= 12")
-    out: dict = {}
-    for b, row in enumerate(pp.table):
-        for xi, y in enumerate(row):
-            x = gf2.int_to_bits(xi, pp.n)
-            out.setdefault(y, []).append(x if pp.mode == "plain" else (b, x))
-    return {y: tuple(v) for y, v in out.items()}

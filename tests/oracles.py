@@ -1,8 +1,11 @@
 """Reference functions that only the tests use.
 
-Each one is a plain dense computation that a test compares the simulator
-against; none of them is on a protocol path.
+Each one is a plain computation (dense, brute force or tuple-based) that
+a test compares the simulator against, or a constructor only tests call;
+none of them is on a protocol path.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -13,6 +16,58 @@ def basis_vector(basis, outcome: int) -> np.ndarray:
     """The eigenvector of the given basis labelled by outcome bit."""
     rot = qsim._basis_rotation(basis)
     return rot.conj().T[:, outcome].copy()
+
+
+def rank(rows, width: int | None = None) -> int:
+    """GF(2) rank of an iterable of bit tuples."""
+    rows = list(rows)
+    if not rows:
+        return 0
+    w = width if width is not None else len(rows[0])
+    return len(gf2.row_reduce([gf2.bits_to_int(r) for r in rows], w))
+
+
+def span_contains(basis_rows, v) -> bool:
+    """Whether bit tuple v lies in the span of the given bit-tuple rows."""
+    w = len(v)
+    value = gf2.bits_to_int(v)
+    for piv in gf2.row_reduce([gf2.bits_to_int(r) for r in basis_rows], w):
+        value = min(value, value ^ piv)
+    return value == 0
+
+
+def claw_oracle(pp) -> dict:
+    """Brute-force map from image int to the tuple of its preimages.
+
+    Preimages are x tuples for the plain family and (b, x) pairs for the
+    dual family. Ground truth for all decode tests; n <= 12 only.
+    """
+    if pp.n > 12:
+        raise ValueError("claw_oracle limited to n <= 12")
+    out: dict = {}
+    for b, row in enumerate(pp.table):
+        for xi, y in enumerate(row):
+            x = gf2.int_to_bits(xi, pp.n)
+            out.setdefault(y, []).append(x if pp.mode == "plain" else (b, x))
+    return {y: tuple(v) for y, v in out.items()}
+
+
+def standard_epsilon_config(epsilon, lam: int) -> osp.EpsilonOspConfig:
+    """The epsilon-OSP config with lam * 8^(layers - j) claws at layer j."""
+    eps = Fraction(epsilon)
+    layers = eps.denominator.bit_length() - 1
+    budget = tuple(lam * 8 ** (layers - j) for j in range(layers + 1))
+    return osp.EpsilonOspConfig(eps, budget)
+
+
+def measure_observable(state, observable, wires, rng):
+    """Two-outcome measurement of an involution on the listed wires.
+
+    Returns (bit, post-measurement DenseState); bit 0 means outcome +1.
+    """
+    law = qsim.ObservableLaw(state, observable, wires)
+    bit = law.draw(rng)
+    return bit, law.branch(bit)
 
 
 def trace_distance(a, b) -> float:
@@ -115,12 +170,12 @@ def dense_direct_answers(ham, question, state, rng):
     alice = list(range(lam, 2 * lam))
     if question.kind == "chsh":
         mat = cvqc._chsh_observable(question.a, question.b, question.x)
-        bit, state = qsim.measure_observable(state, mat, alice, rng)
+        bit, state = measure_observable(state, mat, alice, rng)
         s_a = (bit,)
     elif question.kind == "commutation":
-        za, state = qsim.measure_observable(
+        za, state = measure_observable(
             state, cvqc.pauli_string("Z", question.a), alice, rng)
-        xb, state = qsim.measure_observable(
+        xb, state = measure_observable(
             state, cvqc.pauli_string("X", question.b), alice, rng)
         s_a = (za, xb)
     else:

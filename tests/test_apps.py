@@ -1,9 +1,11 @@
 """Tests for the application-layer protocols."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ospsim import apps, gadgets, gf2, harness, osp, qsim, tcf
 
@@ -575,11 +577,9 @@ def _disjoint_params(**change):
 def test_poq_prover_refuses_a_hostile_table_before_it_draws(table):
     """A row of repeats would make an image with three preimages look like
     no claw, and a value outside [0, 2^m) would be cut to the wrong image."""
-    with pytest.raises(ValueError, match="distinct values"):
-        apps._params_from_wire(_disjoint_params(table=table))
-    prover = apps.PoqProverParty(rng_for(3))
+    prover = apps.PoqProverParty(1, rng_for(3))
     before = prover.rng.bit_generator.state
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="distinct values"):
         prover.on_message({"kind": "round-params",
                            "payload": _disjoint_params(table=table)})
     assert prover.rng.bit_generator.state == before
@@ -601,7 +601,7 @@ def test_honest_rounds_leave_the_callers_stream_pinned():
 def _poq_to_challenge(seed=1):
     """A verifier and an honest prover, one round up to the challenge."""
     verifier = apps.PoqVerifierParty(2, rng_for(seed), n=3)
-    prover = apps.PoqProverParty(rng_for(seed + 1))
+    prover = apps.PoqProverParty(2, rng_for(seed + 1))
     (params,) = verifier.on_message(None)
     (evaluation,) = prover.on_message(params)
     (challenge,) = verifier.on_message(evaluation)
@@ -624,14 +624,14 @@ def test_poq_verifier_scores_only_the_current_round(round_):
     (answer,) = prover.on_message(challenge)
     answer["payload"]["round"] = round_
     before = verifier.rng.bit_generator.state
-    with pytest.raises(ValueError, match="answer for round"):
+    with pytest.raises(ValueError, match="round must be 0, the current round"):
         verifier.on_message(answer)
     assert verifier.index == 0 and verifier.accepted == 0
     assert verifier.rng.bit_generator.state == before
 
 
 def test_poq_prover_refuses_a_challenge_before_round_params():
-    prover = apps.PoqProverParty(rng_for(3))
+    prover = apps.PoqProverParty(1, rng_for(3))
     before = prover.rng.bit_generator.state
     with pytest.raises(ValueError, match="unexpected message kind 'challenge'"):
         prover.on_message({"kind": "challenge", "payload": {"round": 0, "a": 0}})
@@ -648,6 +648,189 @@ def test_poq_prover_is_finished_only_between_rounds():
     assert prover.result == {"rounds": 1}
     prover.on_message(params)
     assert prover.result is None
+
+
+# ------------------------------------------------------------ message table
+#
+# Each case below was read as another value, or accepted, before every
+# peer payload was checked against apps.MESSAGES.  Each must now be refused
+# before the receiving party draws.
+
+
+def _prover_at(stage):
+    """A prover and the honest message it expects next at stage
+    'round-params', 'challenge' or 'verdict' of the first round."""
+    verifier, prover, _, challenge = _poq_to_challenge()
+    if stage == "round-params":
+        prover = apps.PoqProverParty(2, rng_for(9))
+        return prover, verifier.on_message(None)[0]
+    if stage == "challenge":
+        return prover, challenge
+    verdict, _ = verifier.on_message(prover.on_message(challenge)[0])
+    return prover, verdict
+
+
+def _verifier_at(stage):
+    """A verifier and the honest message it expects next ('evaluation' or
+    'answer')."""
+    verifier, prover, evaluation, challenge = _poq_to_challenge()
+    if stage == "evaluation":
+        verifier = apps.PoqVerifierParty(2, rng_for(1), n=3)
+        verifier.on_message(None)
+        return verifier, evaluation
+    return verifier, prover.on_message(challenge)[0]
+
+
+def _receiver_at(stage):
+    """An OT receiver at lambda 2 and its next honest message."""
+    receiver, sender, check_set = _ot_to_openings(2)
+    if stage == "check-set":
+        return receiver, check_set
+    return receiver, sender.on_message(receiver.on_message(check_set)[0])[0]
+
+
+def _sender_at(stage):
+    """An OT sender at lambda 2 and its next honest message."""
+    receiver, sender, check_set = _ot_to_openings(2)
+    if stage == "openings":
+        return sender, receiver.on_message(check_set)[0]
+    sender = apps.OtSenderParty(2, "search", rng_for(71))
+    return sender, apps.OtReceiverParty(1, 2, "search",
+                                        rng_for(70)).on_message(None)[0]
+
+
+def _set(path, value):
+    """An edit of a payload: the value at path (keys and indices) replaced."""
+    def edit(payload):
+        for key in path[:-1]:
+            payload = payload[key]
+        payload[path[-1]] = value
+    return edit
+
+
+def _family_n_1(payload):
+    payload.update(n=True, m=3.0, k="0", table=[[0, 1], [2, 3]])
+
+
+@pytest.mark.parametrize("at,stage,edit,match", [
+    (_prover_at, "challenge", _set(["a"], 3), "a must be"),
+    (_prover_at, "challenge", _set(["round"], 99), "round must be 0"),
+    (_prover_at, "challenge", _set(["a"], "1"), "a must be"),
+    (_prover_at, "challenge", _set(["round"], {"r": 0}), "round must be 0"),
+    (_prover_at, "round-params", _set(["round"], {"r": 0}),
+     "round must be the current round 0"),
+    (_prover_at, "verdict", "whatever", "payload must be an object"),
+    (_prover_at, "round-params", _family_n_1, "n must be"),
+    (_verifier_at, "evaluation", _set(["round"], "junk"), "round must be 0"),
+    (_verifier_at, "answer", _set(["b"], "1"), "b must be"),
+    (_receiver_at, "outcome", _set(["caught"], "no"), "caught must be"),
+    (_receiver_at, "check-set", _set(["T"], [0.9, True]),
+     "check set must be 2 distinct"),
+    (_sender_at, "openings", _set(["unchecked", 0, "b"], 7),
+     r"unchecked\[0\]\.b must be"),
+    (_sender_at, "obligations", _set(["instances", 0, "state", "phase"], 9),
+     r"instances\[0\]\.state\.phase must be"),
+    (_sender_at, "obligations", _set(["instances", 0, "state", "phase"], -7),
+     r"instances\[0\]\.state\.phase must be"),
+    (_sender_at, "obligations", _set(["instances", 0, "state", "width"], "2"),
+     r"instances\[0\]\.state\.width must be"),
+    (_sender_at, "obligations", _set(["instances", 0, "state"],
+                                     {"width": True, "u": "0", "v": "1",
+                                      "phase": 0}),
+     r"instances\[0\]\.state\.width must be"),
+], ids=["challenge-a-3", "challenge-round-99", "challenge-a-text",
+        "challenge-round-object", "round-params-round-object",
+        "verdict-text", "round-params-n-true", "evaluation-round-text",
+        "answer-b-text", "outcome-caught-text", "check-set-float-and-bool",
+        "revealed-b-7", "phase-9", "phase-minus-7", "width-text",
+        "width-true"])
+def test_a_malformed_payload_is_refused_before_any_draw(at, stage, edit,
+                                                        match):
+    party, msg = at(stage)
+    if callable(edit):
+        edit(msg["payload"])
+    else:
+        msg["payload"] = edit
+    before = party.rng.bit_generator.state
+    with pytest.raises(ValueError, match=match):
+        party.on_message(msg)
+    assert party.rng.bit_generator.state == before
+
+
+HOSTILE_CONFIGS = [("poq", {"rounds": 2, "n": 3}),
+                   ("ot", {"lam": 2, "b": 1, "variant": "search"}),
+                   ("ot", {"lam": 2, "b": 0,
+                           "variant": "indistinguishability"})]
+
+
+def _delivery(protocol, config, index):
+    """The index-th message delivered in an honest in-process session, as
+    (message, receiving party), the party just before it reads it."""
+    client = harness.make_party(protocol, "client", 5, config)
+    server = harness.make_party(protocol, "server", 5, config)
+    queue, count = [(client, None)], 0
+    while queue:
+        party, incoming = queue.pop(0)
+        if incoming is not None:
+            if count == index:
+                return incoming, party
+            count += 1
+        peer = server if party is client else client
+        queue.extend((peer, raw) for raw in party.on_message(incoming))
+    return None, None
+
+
+def _paths(value, path=()):
+    """Every place in a payload: the payload itself, each field and each
+    list entry, at any depth."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, sub in items:
+        yield from _paths(sub, path + (key,))
+
+
+def _wrong_values(original, optional):
+    """Values that break every field of the table: of the wrong type, or
+    an int out of every range.  A bool breaks every field but a flag; None
+    breaks every field but an optional one."""
+    values = (st.integers(max_value=-1) | st.integers(min_value=2**40)
+              | st.floats(allow_nan=False)
+              | st.text(max_size=4).filter(lambda t: t.strip("01"))
+              | st.lists(st.none(), min_size=1, max_size=2) | st.just({}))
+    if type(original) is not bool:
+        values |= st.booleans()
+    if not optional:
+        values |= st.none()
+    return values
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_one_hostile_field_is_refused_before_any_draw(data):
+    """One field of one honest message, of any kind in either protocol, set
+    to a wrong type or an out-of-range value: the receiver refuses it and
+    its generator has not moved."""
+    protocol, config = data.draw(st.sampled_from(HOSTILE_CONFIGS))
+    count = len(harness.run_local(protocol, 5, config)["client"].messages)
+    index = data.draw(st.integers(0, count - 1))
+    msg, party = _delivery(protocol, config, index)
+    payload = copy.deepcopy(msg["payload"])
+    path = data.draw(st.sampled_from(list(_paths(payload))))
+    holder = payload
+    for key in path[:-1]:
+        holder = holder[key]
+    original = holder[path[-1]] if path else payload
+    optional = bool(path) and path[-1] in ("com", "opening")
+    wrong = data.draw(_wrong_values(original, optional))
+    if path:
+        holder[path[-1]] = wrong
+    else:
+        payload = wrong
+    before = party.rng.bit_generator.state
+    with pytest.raises(ValueError):
+        party.on_message({"kind": msg["kind"], "payload": payload})
+    assert party.rng.bit_generator.state == before
 
 
 # -------------------------------------------------------------------- PKE

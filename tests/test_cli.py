@@ -364,3 +364,33 @@ def test_selftest_single_criterion(capsys, tmp_path):
 def test_selftest_unknown_criterion():
     with pytest.raises(ValueError):
         cli.main(["selftest", "--only", "99"])
+
+
+@pytest.mark.parametrize("flag", ["--listen", "--connect"])
+def test_a_port_past_65535_is_a_usage_error(flag, monkeypatch, capsys):
+    """getaddrinfo would take 99999 mod 65536 (34463) and bind would raise
+    OverflowError; the endpoint is refused before any socket exists."""
+    def no_socket(*_args, **_kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(harness, "serve_once", no_socket)
+    monkeypatch.setattr(harness, "connect_and_run", no_socket)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["poq", flag, "127.0.0.1:99999"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == ("ospsim poq: error: endpoint '127.0.0.1:99999' is not "
+                   "HOST:PORT, PORT <= 65535\n")
+
+
+def test_a_refused_connection_is_a_usage_error(capsys):
+    listener = harness.open_listener("127.0.0.1", 0)
+    port = listener.getsockname()[1]
+    listener.close()  # nothing listens there now
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["poq", "--connect", "127.0.0.1:%d" % port])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ospsim poq: error: --connect: ")
+    assert "refused" in err and "Traceback" not in err
+    assert err.count("\n") == 1

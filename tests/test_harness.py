@@ -476,8 +476,8 @@ _REJECTED = "round-params message rejected: ValueError"
 
 @pytest.mark.parametrize("kind,payload,detail", [
     ("bogus", {}, "unexpected message kind 'bogus'"),    # unknown kind
-    ("round-params", {}, "KeyError"),                    # missing key
-    ("round-params", [1, 2], "TypeError"),               # payload not a dict
+    ("round-params", {}, _REJECTED),                     # missing key
+    ("round-params", [1, 2], _REJECTED),                 # payload not a dict
     ("round-params", _round_params(n=64, m=66), _REJECTED),
     ("round-params",
      _round_params(table=[[0.5] + list(range(1, 8)), list(range(8, 16))]),
@@ -493,9 +493,12 @@ _REJECTED = "round-params message rejected: ValueError"
      _REJECTED),
     ("challenge", {"round": 0, "a": 0},
      "challenge message rejected: ValueError: unexpected message kind"),
+    ("round-params",  # once read as n = 1, m = 3, k = 0
+     _round_params(n=True, m=3.0, k="0", table=[[0, 1], [2, 3]]),
+     _REJECTED + ": n must be an int in [1, 19)"),
 ], ids=["unknown-kind", "missing-key", "payload-not-a-dict", "n-64",
         "non-integer-entry", "short-row", "plain-mode", "repeated-value",
-        "value-out-of-range", "challenge-first"])
+        "value-out-of-range", "challenge-first", "n-true"])
 def test_party_fault_ends_the_session_with_error(kind, payload, detail):
     sid = harness.session_id("poq", 5)
     msg = harness.Message(sid, 0, "client", kind, payload)
@@ -577,6 +580,35 @@ def test_a_poq_prover_finishes_only_when_a_verdict_closes_its_round(
     assert [m.kind for m in server.messages] == kinds
 
 
+def test_a_poq_prover_plays_no_round_past_the_sessions_rounds(monkeypatch):
+    """A client that sends rounds + 1 rounds cannot hold the prover: the
+    extra round-params ends the session before the prover draws for it."""
+    data = _client_turns(7, {"rounds": 3})
+    parties = []
+    make_party = harness.make_party
+
+    def keep(*args):
+        parties.append(make_party(*args))
+        return parties[-1]
+
+    monkeypatch.setattr(harness, "make_party", keep)
+    server = _against_peer("poq", "server", data, {"rounds": 2})
+    monkeypatch.undo()
+    assert server.outcome == {
+        "status": "error", "result": None,
+        "detail": "round-params message rejected: ValueError: round must be "
+                  "the current round 2, below the 2 agreed"}
+    assert [m.kind for m in server.messages][-2:] == ["verdict",
+                                                      "round-params"]
+    reference = harness.make_party("poq", "server", 5, {"rounds": 2})
+    for m in harness.run_local("poq", 5, {"rounds": 2})["client"].messages:
+        if m.role == "client":
+            reference.on_message({"kind": m.kind, "payload": m.payload})
+    assert [p.role for p in parties] == ["server"]
+    assert (parties[0].rng.bit_generator.state
+            == reference.rng.bit_generator.state)
+
+
 def _ot_states(*widths):
     return [{"state": {"width": w, "u": "0" * w, "v": "0" * w, "phase": 0}}
             for w in widths]
@@ -584,7 +616,8 @@ def _ot_states(*widths):
 
 @pytest.mark.parametrize("instances", [
     [], _ot_states(2, 2, 2), _ot_states(2, 2, 2, 20),
-], ids=["none", "one-short", "width-20-state"])
+    [{"state": {"width": 2, "u": "00", "v": "01", "phase": 9}}] * 4,
+], ids=["none", "one-short", "width-20-state", "phase-9"])
 def test_malformed_obligations_end_the_sender_session(instances):
     sid = harness.session_id("ot", 5)
     msg = harness.Message(sid, 0, "client", "obligations",
@@ -722,7 +755,7 @@ def test_poq_verifier_refuses_an_answer_for_another_round_over_a_socket():
     client = _against_peer("poq", "client", data, config)
     assert client.outcome["status"] == "error"
     assert client.outcome["detail"] == ("answer message rejected: ValueError: "
-                                        "answer for round 7, not 0")
+                                        "round must be 0, the current round")
     assert [m.kind for m in client.messages] == [
         "round-params", "evaluation", "challenge", "answer"]
 

