@@ -12,7 +12,9 @@ quantumness test: rounds against the honest and the scripted provers,
 rewinding, family-backed puzzles and two-round preparations.  A count
 pins how many dense gate applies the delegated rounds make: the
 delegation pass applies one operator per run of gates on at most three
-dense wires, not one per gate.
+dense wires, not one per gate.  A fourth sha256 pins delegated rounds of
+the 3-qubit chain, whose collection circuits are the largest the energy
+game delegates.
 """
 
 import hashlib
@@ -24,19 +26,21 @@ from ospsim import apps, cvqc, gadgets, harness, osp, qsim
 PINNED = "7bd382528977b8a049972d6af8236ff398b4bb08a261fc0f90c1827c09c1c09c"
 APPLY_GATE_PINNED = 93
 POQ_PINNED = "999b3322cca2247bfedc9ae4e5716f4798a9ed06977734505ba84b74409fd7c8"
+CHAIN_PINNED = "49108aa5a03b0a1f3226273e820f1800d872acfe9ea6143e2f3287929b431d01"
 GADGET_PINNED = "e7cb8cbd3236658aef18f974996d492397c469d3e552037811c582448137ad59"
 
 _PAIR = "QUBITS 2\nX 0 1 0.5\nZ 0 1 0.5\n"
 _CHAIN = "QUBITS 3\nX 0 1 0.25\nX 1 2 0.25\nZ 0 1 0.25\nZ 1 2 0.25\n"
 
 
-def _energy_rounds(text, delegated, rounds):
+def _energy_rounds(text, delegated, rounds, rng=None):
     """Seeded honest energy-game rounds as (question, answers, accept)."""
     ham = cvqc.parse_hamiltonian(text)
     alpha = cvqc.min_eigenvalue(ham)
     params = cvqc.GameParams(0.2, alpha, alpha + 1.0)
     base = cvqc.prepared_state(ham)
-    rng = np.random.default_rng([ham.num_qubits, int(delegated)])
+    if rng is None:
+        rng = np.random.default_rng([ham.num_qubits, int(delegated)])
     for _ in range(rounds):
         yield cvqc.honest_round(ham, params, rng, delegated=delegated,
                                 base=base)
@@ -77,6 +81,21 @@ def test_delegated_rounds_make_the_pinned_number_of_dense_applies(monkeypatch):
     for _ in _energy_rounds(_PAIR, True, 30):
         pass
     assert len(calls) == APPLY_GATE_PINNED
+
+
+def _chain_digest() -> str:
+    """Ten seeded delegated rounds of the 3-qubit chain, each round hashed
+    alone, then the generator's state after the last one."""
+    digest = hashlib.sha256()
+    rng = np.random.default_rng([3, 1])
+    for played in _energy_rounds(_CHAIN, True, 10, rng):
+        digest.update(hashlib.sha256(repr(played).encode()).digest())
+    digest.update(repr(rng.bit_generator.state).encode())
+    return digest.hexdigest()
+
+
+def test_delegated_chain_rounds_match_the_pinned_digest():
+    assert _chain_digest() == CHAIN_PINNED
 
 
 def _gadget_digest() -> str:
