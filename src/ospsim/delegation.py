@@ -1,22 +1,25 @@
 """Blind delegation of Clifford-plus-T circuits over one-time Pauli pads.
 
 The client hides its input under a random X pad and tracks how the pad
-propagates through the circuit, in one pass over the gates.  Clifford
-gates update the pad keys by simple rules.  A T or TDG gate leaves a
-phase-gate correction whose power equals the current X key, which the
-client fixes up remotely with one draw of the teleported phase gadget.
-On a dense wire the gate and the gadget's diagonal act together as one
-diagonal; on a bit wire the phase is global and nothing is applied.  The
-server only ever sees padded bits and uniformly random measurement
-outcomes.
+propagates through the circuit.  Clifford gates update the pad keys by
+simple rules.  A T or TDG gate leaves a phase-gate correction whose
+power equals the current X key, which the client fixes up remotely with
+one draw of the teleported phase gadget.  On a dense wire the gate and
+the gadget's diagonal act together as one diagonal; on a bit wire the
+phase is global and nothing is applied.  The server only ever sees
+padded bits and uniformly random measurement outcomes.
 
-No draw depends on the state, so the pass does not apply the dense
-gates one by one.  It multiplies each into one pending operator on at
-most three dense wires, and applies that operator to the state only when
-the next gate would take it past three wires, and once at the end.  Each
-gate's operator, embedded in the pending wires, is memoised by gate, its
-positions among those wires and their number.  tests/oracles.py keeps
-the gate-by-gate pass as the oracle.
+No draw depends on the state, and the pad keys are linear over GF(2) in
+the pad and the gadgets' Z keys.  So everything a run does except its
+draws is fixed by the circuit, the register width and the padded input,
+and is compiled once into a memoised plan: the keys as linear forms, and
+the dense applies, each one operator on at most three wires, multiplied
+from the gates' embedded matrices.  A run only walks the plan.  At each
+T or TDG it reads the X key's value, draws the gadget, and picks the
+gate times the gadget's diagonal, embedded once for each of the eight
+(b, z_key, m) outcomes.  It then multiplies each apply's operator, in
+gate order, and applies it.  tests/oracles.py keeps the gate-by-gate pass
+as the oracle.
 
 A run may start from an existing register, which fills the leading wires;
 the classical input fills the trailing ones.  Those input wires are kept
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -119,9 +123,7 @@ def classical_eval(circuit: Circuit, bits) -> tuple:
     Every gate must keep its wires basis states (see _BIT_GATES); H has
     no classical meaning here.
     """
-    out = [int(b) for b in bits]
-    if len(out) != circuit.num_qubits:
-        raise ValueError("input width mismatch")
+    out = list(qsim._check_bits(bits, circuit.num_qubits))
     if not _stays_classical(circuit, 0):
         raise ValueError("circuit has no classical evaluation")
     for name, qubits in circuit.gates:
@@ -209,61 +211,95 @@ def _gate(name, qubits, split, bits):
     return None
 
 
-# The most dense wires one pending operator covers: an 8x8 product per
-# gate costs far less than a pass over the amplitudes.
+# The most dense wires one apply covers: an 8x8 product per gate costs
+# far less than a pass over the amplitudes.
 _FUSE_WIRES = 3
 
-# Embedded gate operators by (gate key, positions, width).  A gate key is
-# a gate name, or (name, b, z_key, m) for T and TDG: the gadget's diagonal
-# is fixed by b and its draws, and (z_key, m) fixes them.  Within three
-# wires, 21 one-wire gate keys each take 6 (positions, width) pairs and
-# CNOT takes 8, so the memo holds at most 134 matrices of at most 8x8.
-_EMBEDDED = {}
+# A pending operator gains one or two trailing wires as kron(op, I), the
+# product with one of these identity blocks.
+_EYES = {1: np.eye(2)[:, None, :], 2: np.eye(4)[:, None, :]}
 
 
-class _Fused:
-    """The dense state and one pending operator on the wires listed in
-    wires, in that order, the first as the most significant bit."""
+@lru_cache(maxsize=64)
+def _key_forms(circuit: Circuit, k: int):
+    """The pad keys of a run on a register of k wires, as linear forms.
 
-    __slots__ = ("state", "wires", "op")
+    A form is an int over GF(2): bit j stands for pad bit j, and bit
+    len(pad) + i for the Z key drawn at slot i, the i-th T or TDG gate.
+    Returns, per slot, the form of its wire's X key, which sets its phase
+    power, and its Z key's bit; then the final X and Z keys' forms.
+    """
+    npad = circuit.num_qubits - k
+    frame = PauliFrame([0] * k + [1 << j for j in range(npad)],
+                       [0] * circuit.num_qubits)
+    slots = []
+    for name, qubits in circuit.gates:
+        if name not in NON_CLIFFORD_GATES:
+            frame.apply_clifford(name, qubits)
+            continue
+        q = qubits[0]
+        bit = 1 << (npad + len(slots))
+        slots.append((frame.r[q], bit))
+        frame.s[q] ^= bit
+        if name == "T":  # T is TDG then P; see _embedded
+            frame.apply_clifford("P", qubits)
+    return tuple(slots), tuple(frame.r), tuple(frame.s)
 
-    def __init__(self, state: qsim.DenseState):
-        self.state, self.wires, self.op = state, (), None
 
-    def add(self, key, qubits, diagonal=None):
-        """Multiply one gate into the pending operator.
+@lru_cache(maxsize=None)
+def _embedded(name, positions, width):
+    """A Clifford on the listed positions of width wires, or for T and TDG
+    the gate times each gadget diagonal, indexed by (b, z_key, m).
 
-        key names the gate as in _EMBEDDED; diagonal is the phase
-        gadget's, for T and TDG.  Applies the pending operator first if
-        the gate would take it past _FUSE_WIRES wires.
-        """
-        wires = self.wires
-        new = [q for q in qubits if q not in wires]
+    T is TDG then P.  TDG, the gadget's diagonal D and P all act on the
+    wire as diagonals, so P D TDG = D T, and a T slot's keys take P's
+    rule after the Z key.  Within three wires a one-wire gate takes 6
+    (positions, width) pairs and CNOT 8, so every plan shares at most
+    5*6 + 2*6*8 + 8 = 134 matrices of at most 8x8.
+    """
+    if name not in NON_CLIFFORD_GATES:
+        return _embed(qsim.GATES[name], positions, width)
+    return tuple(_embed(gadgets.phase_diagonal(*keys) @ qsim.GATES[name],
+                        positions, width) for keys in product((0, 1), repeat=3))
+
+
+@lru_cache(maxsize=256)
+def _plan(circuit: Circuit, split: int, padded: tuple):
+    """The dense applies of a run whose classical wires, from split on,
+    hold padded.  Returns (runs, places, bits).
+
+    runs lists each apply as (wires, operators, eyes).  The pending
+    operator starts as the first operator; each later one widens it by
+    its identity block in eyes, if any, and multiplies it from the left.
+    An operator None takes the next T-slot product.  places gives each
+    slot's _embedded products, or None on a bit wire; bits are the padded
+    bits after the run.  Memoised: the energy game delegates three frozen
+    circuits, and on the 3-qubit chain they take 193 plans.
+    """
+    bits = list(padded)
+    runs, places, ops, eyes, wires = [], [], [], [], ()
+    for name, qubits in circuit.gates:
+        if name in NON_CLIFFORD_GATES:
+            dense = (name, qubits) if qubits[0] < split else None
+            places.append(None)
+        else:
+            dense = _gate(name, qubits, split, bits)
+        if dense is None:
+            continue
+        name, qubits = dense
+        new = tuple(q for q in qubits if q not in wires)
         if len(wires) + len(new) > _FUSE_WIRES:
-            self.flush()
-            wires, new = (), qubits
-        if new:
-            wires = self.wires = wires + tuple(new)
-            if self.op is not None:  # kron(op, I) for the new trailing wires
-                eye = np.eye(1 << len(new))[:, None, :]
-                dim = 1 << len(wires)
-                self.op = (self.op[:, None, :, None] * eye).reshape(dim, dim)
-        width = len(wires)
-        positions = tuple(map(wires.index, qubits))
-        op = _EMBEDDED.get((key, positions, width))
-        if op is None:
-            mat = qsim.GATES[key] if diagonal is None else (
-                diagonal @ qsim.GATES[key[0]])
-            op = _embed(mat, positions, width)
-            _EMBEDDED[key, positions, width] = op
-        self.op = op if self.op is None else op @ self.op
-
-    def flush(self) -> qsim.DenseState:
-        """Apply the pending operator, if any, and return the state."""
-        if self.op is not None:
-            self.state = qsim.apply_gate(self.state, self.op, self.wires)
-            self.wires, self.op = (), None
-        return self.state
+            runs.append((wires, tuple(ops), tuple(eyes)))
+            wires, ops, eyes, new = (), [], [], qubits
+        eyes.append(_EYES[len(new)] if new and ops else None)
+        wires += new
+        op = _embedded(name, tuple(map(wires.index, qubits)), len(wires))
+        if name in NON_CLIFFORD_GATES:
+            places[-1], op = op, None
+        ops.append(op)
+    if ops:
+        runs.append((wires, tuple(ops), tuple(eyes)))
+    return tuple(runs), tuple(places), tuple(bits)
 
 
 def _embed(mat, positions, width) -> np.ndarray:
@@ -305,47 +341,49 @@ def delegate_on_state(circuit: Circuit, state: qsim.DenseState, input_bits,
         source = osp.ideal_stub_source
     n = circuit.num_qubits
     k = state.num_qubits
-    bits = tuple(int(b) for b in input_bits)
-    if k + len(bits) != n:
-        raise ValueError("register plus classical input must fill the circuit")
+    if k > n:
+        raise ValueError("register is wider than the circuit")
+    bits = qsim._check_bits(input_bits, n - k)
     if pad_override is None:
         pad = tuple(int(t) for t in rng.integers(0, 2, len(bits)))
     else:
-        pad = tuple(int(t) for t in pad_override)
-        if len(pad) != len(bits):
-            raise ValueError("pad width mismatch")
+        pad = qsim._check_bits(pad_override, len(bits))
 
-    frame = PauliFrame([0] * k + list(pad), [0] * n)
-    padded = [b ^ p for b, p in zip(bits, pad)]
+    padded = tuple(b ^ p for b, p in zip(bits, pad))
     transcript = []
     osp._msg(transcript, "client", "padded-input", bits=list(padded),
              register=k)
     split = k
     if not _stays_classical(circuit, k):
         state = state.tensor(qsim.DenseState.from_bits(padded))
-        split, padded = n, []
+        split, padded = n, ()
+    forms, r_forms, s_forms = _key_forms(circuit, k)
+    runs, places, padded = _plan(circuit, split, padded)
 
-    fused = _Fused(state)
-    for name, qubits in circuit.gates:
-        if name not in NON_CLIFFORD_GATES:
-            dense = _gate(name, qubits, split, padded)
-            if dense is not None:
-                fused.add(*dense)
-            frame.apply_clifford(name, qubits)
-            continue
-        # T is TDG then P.  TDG, the gadget's diagonal D and P all act on q
-        # as diagonals, so P D TDG = D T; a phase on a bit is global.
-        q = qubits[0]
-        b = frame.r[q]
-        phase, z_key, m = gadgets.phase_readout(b, rng, source)
-        if q < split:
-            fused.add((name, b, z_key, m), qubits, phase)
-        frame.s[q] ^= z_key
-        if name == "T":
-            frame.apply_clifford("P", qubits)
+    # The keys' values: pad bit j at bit j, then each slot's Z key.
+    x = sum(t << j for j, t in enumerate(pad))
+    ops = []
+    for (form, bit), place in zip(forms, places):
+        b = (x & form).bit_count() & 1
+        _, z_key, m = gadgets.phase_readout(b, rng, source)
+        x |= bit * z_key
+        if place is not None:
+            ops.append(place[b << 2 | z_key << 1 | m])
         osp._msg(transcript, "server", "phase-outcome", m=m)
-    return DelegationResult(circuit, fused.flush(), frame, transcript,
-                            tuple(padded))
+
+    ops = iter(ops)
+    for wires, mats, eyes in runs:
+        mats = [next(ops) if mat is None else mat for mat in mats]
+        op = mats[0]
+        for mat, eye in zip(mats[1:], eyes[1:]):
+            if eye is not None:
+                dim = mat.shape[0]
+                op = (op[:, None, :, None] * eye).reshape(dim, dim)
+            op = mat @ op
+        state = qsim.apply_gate(state, op, wires)
+    frame = PauliFrame([(x & f).bit_count() & 1 for f in r_forms],
+                       [(x & f).bit_count() & 1 for f in s_forms])
+    return DelegationResult(circuit, state, frame, transcript, padded)
 
 
 def unpad_state(result: DelegationResult) -> qsim.DenseState:

@@ -48,8 +48,7 @@ def phase_readout(b: int, rng, source=None):
     The prepared qubit H^b|s> is twisted into h = Z^s P^b |+>.  A CNOT
     from the data qubit into h and a uniform Z readout m of h would leave
     sqrt(2) diag(h[m], h[m^1]) on the data qubit.  m is drawn as in the
-    module docstring.  Returns that diagonal (read-only, and memoised on
-    b, s and m), the Z key s ^ (m & b) and m.
+    module docstring.  Returns that diagonal, the Z key s ^ (m & b) and m.
     """
     if b not in (0, 1):
         raise ValueError("phase power must be 0 or 1")
@@ -57,11 +56,14 @@ def phase_readout(b: int, rng, source=None):
         source = osp.ideal_stub_source
     s, _ = _prepared(b, rng, source)
     m = int(rng.random() >= 0.5)
-    return _phase_diagonal(b, s, m), s ^ (m & b), m
+    z_key = s ^ (m & b)
+    return phase_diagonal(b, z_key, m), z_key, m
 
 
 @lru_cache(maxsize=8)
-def _phase_diagonal(b: int, s: int, m: int) -> np.ndarray:
+def phase_diagonal(b: int, z_key: int, m: int) -> np.ndarray:
+    """The diagonal phase_readout returns with these keys, read-only."""
+    s = z_key ^ (m & b)
     helper = qsim.apply_1q(qsim.apply_1q(osp.PREPARED_STATES[b == 0, s],
                                          "H"), "SQRTX")
     h = helper.densify().amplitudes

@@ -12,11 +12,11 @@ Conventions
 * Qubit 0 is the leftmost ket symbol; bit strings read MSB first, so the
   amplitude index of |b_0 b_1 ... b_{n-1}> is int(bits, 2).
 * States are value objects.  Operations return new states.
-* Dense states refuse to exceed 20 qubits; from_bits and uniform refuse
-  before they allocate any amplitude.  Only _block and _unblock know
-  how amplitudes are laid out by wire; gates and measurements all go
-  through them, and _block rejects negative, out-of-range and
-  repeated wires.  The axis permutation for each (register width, wire
+* Dense states refuse to exceed 20 qubits; from_bits refuses a wider
+  state, or a bit other than 0 and 1, before it allocates any amplitude.
+  Only _block and _unblock know how amplitudes are laid out by wire;
+  gates and measurements all go through them, and _block rejects
+  negative, out-of-range and repeated wires.  The axis permutation for each (register width, wire
   list) is computed and checked once and then cached.
 * A dense measurement is a law and a post-state.  BasisLaw and
   ObservableLaw compute the outcome law of a state; their draw takes an
@@ -140,9 +140,10 @@ def phase_index(value: complex) -> int:
 _BITS = frozenset({0, 1})
 
 
-def _check_bits(bits, width):
+def _check_bits(bits, width=None):
+    """bits as a tuple of ints, each 0 or 1, and width long if given."""
     bits = tuple(map(int, bits))
-    if len(bits) != width:
+    if width is not None and len(bits) != width:
         raise ValueError("expected %d bits, got %d" % (width, len(bits)))
     if not _BITS.issuperset(bits):
         raise ValueError("bits must be 0/1")
@@ -180,16 +181,10 @@ class DenseState:
 
     @classmethod
     def from_bits(cls, bits) -> "DenseState":
-        bits = tuple(int(b) for b in bits)
+        bits = _check_bits(bits)
         _check_width(len(bits))
         vec = np.zeros(1 << len(bits), dtype=complex)
         vec[gf2.bits_to_int(bits)] = 1.0
-        return cls(vec)
-
-    @classmethod
-    def uniform(cls, num_qubits: int) -> "DenseState":
-        _check_width(num_qubits)
-        vec = np.full(1 << num_qubits, 2 ** (-num_qubits / 2), dtype=complex)
         return cls(vec)
 
     def tensor(self, other: "DenseState") -> "DenseState":
@@ -506,10 +501,13 @@ def collapse_two_branch(state: TwoBranchState, keep: int, rng):
             parity = 0
         else:
             parity = int(rng.random() < w_odd / (w_even + w_odd))
-        d = gf2.sample_solution([(diff, parity)], w, rng)
-        if d is None:  # diff == 0 with parity 1 cannot happen for u != v
-            raise AssertionError("unsatisfiable collapse constraint")
-        return d, basis_descriptor((state.u[keep],))
+        # The one constraint d.diff = parity (diff != 0 as u != v), drawn
+        # as gf2.sample_solution draws it: a coin per free column in
+        # order, then the pivot, the first column diff has set.
+        pivot = diff.index(1)
+        d = [0 if c == pivot else int(rng.integers(0, 2)) for c in range(w)]
+        d[pivot] = parity ^ gf2.dot(d, diff)
+        return tuple(d), basis_descriptor((state.u[keep],))
 
     # Branches differ on the kept qubit: every d is equally likely and the
     # kept qubit keeps a (possibly phase-twisted) superposition.

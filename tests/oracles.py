@@ -18,6 +18,14 @@ def basis_vector(basis, outcome: int) -> np.ndarray:
     return rot.conj().T[:, outcome].copy()
 
 
+def uniform_state(num_qubits: int) -> qsim.DenseState:
+    """The equal superposition of every basis string.  Like from_bits, it
+    refuses a state past the dense limit before it allocates it."""
+    qsim._check_width(num_qubits)
+    amp = 2 ** (-num_qubits / 2)
+    return qsim.DenseState(np.full(1 << num_qubits, amp, dtype=complex))
+
+
 def rank(rows, width: int | None = None) -> int:
     """GF(2) rank of an iterable of bit tuples."""
     rows = list(rows)
@@ -190,8 +198,9 @@ def dense_direct_answers(ham, question, state, rng):
     return s_a, qsim.readout(state, list(range(lam)), basis, rng)
 
 
-def dense_delegate_on_state(circuit, state, input_bits, rng, source=None):
-    """The gate-by-gate pass that delegation.delegate_on_state fuses: every
+def dense_delegate_on_state(circuit, state, input_bits, rng, source=None,
+                            pad_override=None):
+    """The gate-by-gate pass that delegation.delegate_on_state plans: every
     gate that lands on the dense state is one qsim.apply_gate, and each T
     or TDG there is one diagonal, the gate and its gadget's together."""
     if source is None:
@@ -201,7 +210,10 @@ def dense_delegate_on_state(circuit, state, input_bits, rng, source=None):
     bits = tuple(int(b) for b in input_bits)
     if k + len(bits) != n:
         raise ValueError("register plus classical input must fill the circuit")
-    pad = tuple(int(t) for t in rng.integers(0, 2, len(bits)))
+    if pad_override is None:
+        pad = tuple(int(t) for t in rng.integers(0, 2, len(bits)))
+    else:
+        pad = tuple(pad_override)
     frame = delegation.PauliFrame([0] * k + list(pad), [0] * n)
     padded = [b ^ p for b, p in zip(bits, pad)]
     transcript = [

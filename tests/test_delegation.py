@@ -1,5 +1,6 @@
 """Tests for circuit handling, pad tracking, and blind delegation."""
 
+import itertools
 import json
 
 import numpy as np
@@ -371,10 +372,12 @@ def test_a_fourth_dense_wire_flushes_the_pending_run(monkeypatch):
     assert qsim.fidelity(delegation.unpad_state(res), want) >= 1 - 1e-9
 
 
-def _assert_fused_matches_oracle(circuit, register, bits, seed):
+def _assert_fused_matches_oracle(circuit, register, bits, seed, pad=None):
     rng_fused, rng_dense = rng_for(seed), rng_for(seed)
-    fused = delegation.delegate_on_state(circuit, register, bits, rng_fused)
-    dense = dense_delegate_on_state(circuit, register, bits, rng_dense)
+    fused = delegation.delegate_on_state(circuit, register, bits, rng_fused,
+                                         pad_override=pad)
+    dense = dense_delegate_on_state(circuit, register, bits, rng_dense,
+                                    pad_override=pad)
     assert json.dumps(fused.transcript) == json.dumps(dense.transcript)
     assert (fused.frame.r, fused.frame.s) == (dense.frame.r, dense.frame.s)
     assert fused.bits == dense.bits
@@ -430,6 +433,66 @@ def test_fused_pass_matches_the_oracle_on_collection_circuits(kind, lam):
                                      200 + seed)
 
 
+@pytest.mark.parametrize("kind", ["chsh", "commutation", "teleport"])
+def test_every_padded_input_of_the_pair_circuits_matches_the_oracle(
+        kind, monkeypatch):
+    """All 32 chsh and 16 commutation padded inputs at lambda = 2, and the
+    one teleport run.  A second run on the same padded bits, from other
+    input bits, builds no plan and embeds no operator."""
+    circ, _, input_width = cvqc._collection_circuit(2, kind)
+    rng = rng_for(46)
+    reg = _register(rng, circ.num_qubits - input_width)
+    embeds = []
+    for seed, padded in enumerate(itertools.product((0, 1),
+                                                    repeat=input_width)):
+        runs = []
+        for _ in range(2):
+            bits = tuple(int(b) for b in rng.integers(0, 2, input_width))
+            runs.append((bits, tuple(p ^ b for p, b in zip(padded, bits))))
+        (bits, pad), (other_bits, other_pad) = runs
+        _assert_fused_matches_oracle(circ, reg, bits, 300 + seed, pad)
+        built = (delegation._plan.cache_info().misses,
+                 delegation._key_forms.cache_info().misses)
+        monkeypatch.setattr(delegation, "_embed",
+                            lambda *args: embeds.append(args))
+        delegation.delegate_on_state(circ, reg, other_bits, rng_for(seed),
+                                     pad_override=other_pad)
+        monkeypatch.undo()
+        assert built == (delegation._plan.cache_info().misses,
+                         delegation._key_forms.cache_info().misses)
+    assert embeds == []
+
+
+def _refuses_before_any_draw(call):
+    rng = rng_for(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="0/1"):
+        call(rng)
+    assert rng.bit_generator.state == before
+
+
+def test_delegate_refuses_an_input_that_is_not_a_bit():
+    """(2, 0) used to be delegated as read, and read out as (2, 2)."""
+    circ = delegation.parse_circuit("QUBITS 2\nCNOT 0 1\n")
+    _refuses_before_any_draw(lambda rng: delegation.delegate(circ, (2, 0), rng))
+    reg = qsim.DenseState.from_bits((0,))
+    _refuses_before_any_draw(
+        lambda rng: delegation.delegate_on_state(circ, reg, (-1,), rng))
+
+
+def test_pad_override_refuses_a_pad_that_is_not_a_bit():
+    circ = delegation.parse_circuit("QUBITS 2\nCNOT 0 1\n")
+    _refuses_before_any_draw(lambda rng: delegation.delegate(
+        circ, (1, 0), rng, pad_override=(3, 0)))
+
+
+def test_classical_eval_refuses_an_input_that_is_not_a_bit():
+    """X on the input 5 used to give (4,)."""
+    circ = delegation.parse_circuit("QUBITS 1\nX 0\n")
+    with pytest.raises(ValueError, match="0/1"):
+        delegation.classical_eval(circ, (5,))
+
+
 def test_delegate_on_state_validation():
     reg = qsim.DenseState.from_bits((0,))
     circ = delegation.Circuit(3, (("H", (0,)),))
@@ -438,3 +501,6 @@ def test_delegate_on_state_validation():
     with pytest.raises(ValueError):
         delegation.delegate_on_state(circ, reg, (0, 1), rng_for(0),
                                      pad_override=(1,))
+    with pytest.raises(ValueError, match="wider"):
+        delegation.delegate_on_state(circ, _register(rng_for(1), 4), (),
+                                     rng_for(0))

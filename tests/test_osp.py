@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import apply_bit_function, drop_qubits, standard_epsilon_config
+from oracles import (apply_bit_function, drop_qubits, standard_epsilon_config,
+                     uniform_state)
 from ospsim import apps, gf2, osp, qsim, tcf
 
 
@@ -250,7 +251,7 @@ def test_two_round_dense_receiver_oracle():
         for seed in range(15):
             pp, sp = tcf.gen("dual", b, n, 0, 1, seed=300 + seed)
             rng = rng_for(900 + seed)
-            state = qsim.DenseState.uniform(n + 1)
+            state = uniform_state(n + 1)
             state = apply_bit_function(
                 state,
                 list(range(n + 1)),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (apply_bit_function, basis_vector, drop_qubits,
-                     measure_observable, trace_distance)
+                     measure_observable, trace_distance, uniform_state)
 from ospsim import gf2, osp, qsim
 from ospsim.qsim import (
     AffineBranchState,
@@ -61,7 +61,7 @@ def test_dense_limit_is_hard():
 
 @pytest.mark.parametrize("build", [
     lambda: DenseState.from_bits((0,) * 21),
-    lambda: DenseState.uniform(21),
+    lambda: uniform_state(21),
 ], ids=["from_bits", "uniform"])
 def test_dense_constructors_refuse_a_wide_state_before_allocating(build):
     """2^21 amplitudes would be 32 MiB; the refusal allocates none."""
@@ -73,6 +73,13 @@ def test_dense_constructors_refuse_a_wide_state_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("bits", [(2,), (-1,), (0, 3)])
+def test_from_bits_refuses_a_value_that_is_not_a_bit(bits):
+    """2 used to read as |0> and -1 as |1>, from their low bit."""
+    with pytest.raises(ValueError, match="0/1"):
+        DenseState.from_bits(bits)
 
 
 @pytest.mark.parametrize("amplitudes", [[math.nan, 0], [math.inf, 0]],
@@ -158,7 +165,7 @@ def test_xpz_statistics_on_h_r_s():
     )
 )
 def test_unitarity(word):
-    state = DenseState.uniform(3)
+    state = uniform_state(3)
     for gate, q in word:
         state = state.apply(gate, q)
     assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-12
@@ -238,6 +245,30 @@ def test_collapse_negative_phase_flips_parity():
     for _ in range(50):
         d, _ = collapse_two_branch(state, 2, rng)
         assert gf2.dot(d, (1, 1)) == 1
+
+
+def test_collapse_agreeing_keep_draws_as_sample_solution():
+    """The closed form for the one parity constraint draws the d, and
+    leaves the generator state, that gf2.sample_solution does."""
+    cases = np.random.default_rng(79)
+    for trial in range(300):
+        width = int(cases.integers(2, 13))
+        keep = int(cases.integers(0, width))
+        u = tuple(int(b) for b in cases.integers(0, 2, width))
+        diff = (0,) * (width - 1)
+        while not any(diff):
+            diff = tuple(int(b) for b in cases.integers(0, 2, width - 1))
+        v = gf2.xor_vec(u, diff[:keep] + (0,) + diff[keep:])
+        phase = (1, -1, 1j)[trial % 3]
+        rng, ref = np.random.default_rng(trial), np.random.default_rng(trial)
+        d, _ = collapse_two_branch(TwoBranchState(width, u, v, phase), keep,
+                                   rng)
+        # Phases 1 and -1 fix the parity; i draws it with probability 1/2.
+        parity = {1: 0, -1: 1}.get(phase)
+        if parity is None:
+            parity = int(ref.random() < 0.5)
+        assert d == gf2.sample_solution([(diff, parity)], width - 1, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_collapse_basis_state_uniform():
@@ -442,7 +473,7 @@ def test_degenerate_claw_has_no_target():
 
 
 def test_apply_bit_function():
-    state = DenseState.uniform(2)
+    state = uniform_state(2)
     out = apply_bit_function(state, (0, 1), lambda bits: bits[0] ^ bits[1], 1)
     for idx in range(8):
         b = gf2.int_to_bits(idx, 3)
@@ -456,7 +487,7 @@ def test_drop_qubits():
     assert out.num_qubits == 1
     assert np.allclose(out.amplitudes, [1, 0])
     with pytest.raises(ValueError):
-        drop_qubits(DenseState.uniform(2), (0,), (0,))
+        drop_qubits(uniform_state(2), (0,), (0,))
 
 
 # ------------------------------------------- dense kernels vs kron projectors
@@ -670,7 +701,7 @@ def test_dense_to_two_branch_roundtrip():
     back = qsim.dense_to_two_branch(tb.densify())
     assert back == tb
     with pytest.raises(ValueError):
-        qsim.dense_to_two_branch(DenseState.uniform(2))
+        qsim.dense_to_two_branch(uniform_state(2))
 
 
 def test_apply_1q_descriptor():

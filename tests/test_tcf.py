@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from oracles import apply_bit_function, claw_oracle, drop_qubits
+from oracles import apply_bit_function, claw_oracle, drop_qubits, uniform_state
 from ospsim import gf2, qsim, tcf
 
 
@@ -198,7 +198,7 @@ def test_post_measurement_claw_state_dense_oracle():
     # (B, X) register is the claw pair state.
     pp, sp = tcf.gen("dual", 1, 3, 0, 1, 53)
     rng = np.random.default_rng(99)
-    reg = qsim.DenseState.uniform(pp.n + 1)
+    reg = uniform_state(pp.n + 1)
     total = apply_bit_function(
         reg,
         tuple(range(4)),
