@@ -265,22 +265,18 @@ def criterion_5() -> CriterionResult:
     aff = qsim.AffineBranchState(
         6, ((1, 1, 0, 0, 1, 0), (0, 0, 1, 1, 0, 1)),
         (0, 0, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0))
-    dual = gf2.nullspace(aff.basis, 6)
-    dual_set = set()
-    for coeffs in range(1 << len(dual)):
-        acc = (0,) * 6
-        for i, row in enumerate(dual):
-            if (coeffs >> i) & 1:
-                acc = gf2.xor_vec(acc, row)
-        dual_set.add(acc)
+    dual_set = {0}
+    for row in aff.dual:
+        dual_set |= {a ^ row for a in dual_set}
     diff = gf2.xor_vec(aff.shift0, aff.shift1)
     aff_counts = {}
     for _ in range(samples):
         d, bit = qsim.collapse_affine(aff, rng)
-        if d not in dual_set or bit != gf2.dot(d, diff):
+        packed = gf2.bits_to_int(d)
+        if packed not in dual_set or bit != gf2.dot(d, diff):
             problems.append("affine outcome off support")
             break
-        aff_counts[d] = aff_counts.get(d, 0) + 1
+        aff_counts[packed] = aff_counts.get(packed, 0) + 1
     tvd_c = 0.5 * sum(abs(aff_counts.get(d, 0) / samples - 1 / len(dual_set))
                       for d in dual_set)
     if tvd_c > 0.02:

@@ -340,7 +340,8 @@ def binding_probe(state) -> tuple:
     """Best opening probabilities of an arbitrary receiver-side state.
 
     pr0 scans amplitudes in the computational basis, pr1 after a Hadamard
-    on every qubit; their sum is bounded by 1 + 2^-lam for any state.
+    on every qubit.  For any lam-qubit state their sum is at most
+    1 + 2^(-lam/2), which (|0^lam> + H^lam |0^lam>)/norm reaches.
     """
     dense = qsim.densify(state)
     if dense.num_qubits > BINDING_PROBE_MAX_QUBITS:

@@ -271,7 +271,7 @@ def cmd_commit(args):
     amps = rng.normal(size=1 << lam) + 1j * rng.normal(size=1 << lam)
     probe = qsim.DenseState(amps / float((abs(amps) ** 2).sum()) ** 0.5)
     pr0, pr1 = apps.binding_probe(probe)
-    bound = 1 + 2.0 ** (-lam)
+    bound = 1 + 2.0 ** (-lam / 2)
     print("binding probe: pr0+pr1=%.6f bound=%.6f" % (pr0 + pr1, bound))
     summary["binding"] = {"sum": pr0 + pr1, "bound": bound}
     if pr0 + pr1 > bound + 1e-9:

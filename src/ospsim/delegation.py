@@ -48,8 +48,11 @@ TWO_QUBIT_GATES = ("CNOT",)
 
 @dataclass(frozen=True)
 class Circuit:
+    """A checked gate list, hashed once: a round looks it up in 3 memos."""
+
     num_qubits: int
     gates: tuple
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.num_qubits < 1:
@@ -69,6 +72,10 @@ class Circuit:
                 raise ValueError("qubit index out of range in %s" % name)
             checked.append((name, qubits))
         object.__setattr__(self, "gates", tuple(checked))
+        object.__setattr__(self, "_hash", hash((self.num_qubits, self.gates)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def t_count(self) -> int:

@@ -1,7 +1,11 @@
-"""Small GF(2) linear-algebra helpers on bit tuples.
+"""GF(2) linear algebra on packed ints, and the bit-tuple boundary.
 
-Vectors are tuples of 0/1 ints, most significant bit first, matching the
-qubit ordering used by the state engine (index 0 = leftmost ket symbol).
+row_reduce, nullspace, sample_span, solve_affine and sample_solution work
+on ints, most significant bit first: entry i of a width-w vector is bit
+w-1-i, the qubit order of the state engine (index 0 = leftmost ket).  The
+protocol code and the wire keep tuples of 0/1 ints, converted where a
+caller reads the bits by bits_to_int and int_to_bits; the text helpers,
+dot and xor_vec work on tuples.
 """
 
 from __future__ import annotations
@@ -65,8 +69,8 @@ def dot(a, b) -> int:
     return acc
 
 
-def row_reduce(rows, width: int):
-    """Return an independent list of int-packed rows in row-echelon form."""
+def row_reduce(rows):
+    """Return an independent list of packed rows in row-echelon form."""
     basis = []
     for row in rows:
         cur = row
@@ -79,82 +83,59 @@ def row_reduce(rows, width: int):
 
 
 def nullspace(rows, width: int):
-    """Basis (list of bit tuples) of {d : d.r = 0 for every row r}."""
-    packed = row_reduce([bits_to_int(r) for r in rows], width)
-    # Identify pivot columns of the echelon rows, then back-fill free columns.
-    pivot_of_col = {}
-    for row in packed:
-        col = width - row.bit_length()
-        pivot_of_col[col] = row
-    free_cols = [c for c in range(width) if c not in pivot_of_col]
+    """Packed basis of {d : d.r = 0 for every packed row r}: one vector per
+    free column in column order, its pivot bits set rightmost first."""
+    echelon = row_reduce(rows)[::-1]
+    pivots = {row.bit_length() - 1 for row in echelon}
     basis = []
-    for fc in free_cols:
-        vec = [0] * width
-        vec[fc] = 1
-        # Solve pivot values so every constraint row has even overlap.
-        for col in sorted(pivot_of_col, reverse=True):
-            row = pivot_of_col[col]
-            row_bits = int_to_bits(row, width)
-            acc = 0
-            for c in range(width):
-                if c != col:
-                    acc ^= row_bits[c] & vec[c]
-            vec[col] = acc
-        basis.append(tuple(vec))
+    for bit in reversed(range(width)):
+        if bit not in pivots:
+            vec = 1 << bit
+            for row in echelon:
+                if (row & vec).bit_count() & 1:
+                    vec |= 1 << (row.bit_length() - 1)
+            basis.append(vec)
     return basis
 
 
-def sample_span(basis_rows, rng: np.random.Generator):
-    """Uniform element of the span of the given (bit tuple) rows."""
-    rows = [tuple(r) for r in basis_rows]
-    if not rows:
-        raise ValueError("empty basis has no width information")
-    w = len(rows[0])
-    out = (0,) * w
-    indep = row_reduce([bits_to_int(r) for r in rows], w)
-    for piv in indep:
+def sample_span(rows, rng: np.random.Generator) -> int:
+    """Uniform element of the span of packed rows: a coin per echelon row."""
+    out = 0
+    for piv in row_reduce(rows):
         if rng.integers(0, 2):
-            out = xor_vec(out, int_to_bits(piv, w))
+            out ^= piv
     return out
 
 
 def solve_affine(constraints, width: int):
-    """Particular solution v with v.a_i = b_i for (a_i, b_i) pairs, or None.
-
-    Returns (particular, homogeneous_basis) where the basis spans all
-    solutions of the associated homogeneous system.
-    """
-    # Augmented int rows: constraint vector shifted left once, parity bit last.
+    """Packed (particular solution, homogeneous basis) of v.a_i = b_i over
+    packed (a_i, b_i) pairs, or None when the system is inconsistent."""
+    # Augmented rows: constraint vector shifted left once, parity bit last.
     aug = []
     for vec, bit in constraints:
-        if len(vec) != width:
-            raise ValueError("constraint width mismatch")
-        aug.append((bits_to_int(vec) << 1) | (bit & 1))
-    reduced = row_reduce(aug, width + 1)
-    for row in reduced:
-        if row == 1:
-            return None  # 0 = 1, inconsistent
-    # Back substitution on echelon rows.
-    particular = [0] * width
-    for row in sorted(reduced):
-        col = width + 1 - row.bit_length()
-        bits = int_to_bits(row, width + 1)
-        acc = bits[width]
-        for c in range(col + 1, width):
-            acc ^= bits[c] & particular[c]
-        particular[col] = acc
-    homogeneous = nullspace([int_to_bits(r >> 1, width) for r in reduced], width)
-    return tuple(particular), homogeneous
+        if not 0 <= vec < 1 << width:
+            raise ValueError("constraint wider than %d bits" % width)
+        aug.append((vec << 1) | (bit & 1))
+    reduced = row_reduce(aug)
+    if 1 in reduced:
+        return None  # 0 = 1, inconsistent
+    # Back substitution, the rightmost pivot first.
+    particular = 0
+    for row in reversed(reduced):
+        vec = row >> 1
+        if (row ^ (vec & particular).bit_count()) & 1:
+            particular |= 1 << (vec.bit_length() - 1)
+    return particular, nullspace([row >> 1 for row in reduced], width)
 
 
 def sample_solution(constraints, width: int, rng: np.random.Generator):
-    """Uniform v satisfying all (vector, parity) constraints, or None."""
+    """Uniform packed v satisfying all packed (vector, parity) constraints,
+    or None: a coin per homogeneous vector, in free-column order."""
     solved = solve_affine(constraints, width)
     if solved is None:
         return None
-    particular, homogeneous = solved
-    out = particular
+    out, homogeneous = solved
     for hvec in homogeneous:
         if rng.integers(0, 2):
-            out = xor_vec(out, hvec)
+            out ^= hvec
     return out

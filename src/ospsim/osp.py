@@ -124,11 +124,13 @@ def differentiate(outcome: CsgOutcome, rng) -> CsgOutcome:
     if not any(x1):
         x0, x1 = x1, x0
     width = len(x0)
-    t = gf2.sample_solution([(x0, 0), (x1, 1)], width, rng)
+    t = gf2.sample_solution([(gf2.bits_to_int(x0), 0),
+                             (gf2.bits_to_int(x1), 1)], width, rng)
     if t is None:
         raise AssertionError("tag system unexpectedly unsolvable")
     transcript = list(outcome.transcript)
-    _msg(transcript, "sender", "tag-vector", t=gf2.bits_to_text(t))
+    _msg(transcript, "sender", "tag-vector",
+         t=gf2.bits_to_text(gf2.int_to_bits(t, width)))
     state = qsim.TwoBranchState(
         width + 1, (0,) + x0, (1,) + x1, -1 if z else 1
     )

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
@@ -402,8 +402,9 @@ class TwoBranchState:
 
 
 def basis_descriptor(bits) -> TwoBranchState:
+    """|bits>, one shared instance for each one-qubit basis state."""
     bits = tuple(int(b) for b in bits)
-    return TwoBranchState(len(bits), bits, bits)
+    return _BASES.get(bits) or TwoBranchState(len(bits), bits, bits)
 
 
 def plane_descriptor(phase) -> TwoBranchState:
@@ -412,6 +413,7 @@ def plane_descriptor(phase) -> TwoBranchState:
 
 
 _PLANES = tuple(TwoBranchState(1, (0,), (1,), p) for p in PHASE_GRID)
+_BASES = {(b,): TwoBranchState(1, (b,), (b,)) for b in (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -419,47 +421,55 @@ class AffineBranchState:
     """(|0>|shift0 + A> + |1>|shift1 + A>)/norm over 1 + width qubits.
 
     A is the span of basis rows; the branch qubit comes first.  Dependent
-    basis rows are normalized away on construction.
+    basis rows are normalized away on construction, which also packs what
+    collapse_affine reads: dual, a basis of the vectors orthogonal to A,
+    and diff = shift0 ^ shift1.  Neither is compared or shown in repr.
     """
 
     width: int
     basis: tuple
     shift0: tuple
     shift1: tuple
+    dual: tuple = field(init=False, compare=False, repr=False)
+    diff: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rows = [_check_bits(r, self.width) for r in self.basis]
-        packed = gf2.row_reduce([gf2.bits_to_int(r) for r in rows], self.width)
-        norm_rows = tuple(gf2.int_to_bits(p, self.width) for p in packed)
-        object.__setattr__(self, "basis", norm_rows)
+        packed = gf2.row_reduce([gf2.bits_to_int(_check_bits(r, self.width))
+                                 for r in self.basis])
+        object.__setattr__(self, "basis",
+                           tuple(gf2.int_to_bits(p, self.width) for p in packed))
+        object.__setattr__(self, "dual", tuple(gf2.nullspace(packed, self.width)))
         object.__setattr__(self, "shift0", _check_bits(self.shift0, self.width))
         object.__setattr__(self, "shift1", _check_bits(self.shift1, self.width))
+        object.__setattr__(self, "diff", gf2.bits_to_int(self.shift0)
+                           ^ gf2.bits_to_int(self.shift1))
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def span(self):
-        """All 2^dim elements of A, in index order of coefficient vectors."""
-        out = []
-        for coeffs in range(1 << self.dimension):
-            acc = (0,) * self.width
-            for i, row in enumerate(self.basis):
-                if (coeffs >> (self.dimension - 1 - i)) & 1:
-                    acc = gf2.xor_vec(acc, row)
-            out.append(acc)
+    def _coset(self, shift: int):
+        """shift + A as packed ints, in index order of coefficient vectors."""
+        out = [shift]
+        for row in self.basis:
+            out = [a ^ c for a in out for c in (0, gf2.bits_to_int(row))]
         return out
 
+    def span(self):
+        """All 2^dim elements of A, in index order of coefficient vectors."""
+        return [gf2.int_to_bits(a, self.width) for a in self._coset(0)]
+
     def branch_support(self, branch: int):
-        shift = self.shift1 if branch else self.shift0
-        return sorted(gf2.xor_vec(shift, a) for a in self.span())
+        shift = gf2.bits_to_int(self.shift1 if branch else self.shift0)
+        return [gf2.int_to_bits(a, self.width)
+                for a in sorted(self._coset(shift))]
 
     def densify(self) -> DenseState:
         vec = np.zeros(1 << (self.width + 1), dtype=complex)
         amp = 1.0 / math.sqrt(2 * (1 << self.dimension))
-        for branch in (0, 1):
-            for bits in self.branch_support(branch):
-                vec[(branch << self.width) | gf2.bits_to_int(bits)] += amp
+        for branch, shift in enumerate((self.shift0, self.shift1)):
+            for a in self._coset(gf2.bits_to_int(shift)):
+                vec[(branch << self.width) | a] += amp
         return DenseState(vec)
 
 
@@ -523,16 +533,12 @@ def collapse_two_branch(state: TwoBranchState, keep: int, rng):
 def collapse_affine(state: AffineBranchState, rng):
     """Hadamard-measure the width-register of an affine branch pair.
 
-    Returns (outcome bits d, residual phase bit).  The residual branch qubit
-    is Z^bit |+>.
+    Returns (outcome bits d, residual phase bit).  d is uniform over the
+    dual of A, and the residual branch qubit is Z^bit |+> with
+    bit = d.(shift0 ^ shift1).
     """
-    dual = gf2.nullspace(state.basis, state.width)
-    if dual:
-        d = gf2.sample_span(dual, rng)
-    else:
-        d = (0,) * state.width
-    bit = gf2.dot(d, gf2.xor_vec(state.shift0, state.shift1))
-    return d, bit
+    d = gf2.sample_span(state.dual, rng)
+    return gf2.int_to_bits(d, state.width), (d & state.diff).bit_count() & 1
 
 
 def _branch_amplitudes(state: TwoBranchState) -> dict:

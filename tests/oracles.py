@@ -26,22 +26,104 @@ def uniform_state(num_qubits: int) -> qsim.DenseState:
     return qsim.DenseState(np.full(1 << num_qubits, amp, dtype=complex))
 
 
-def rank(rows, width: int | None = None) -> int:
+def rank(rows) -> int:
     """GF(2) rank of an iterable of bit tuples."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    w = width if width is not None else len(rows[0])
-    return len(gf2.row_reduce([gf2.bits_to_int(r) for r in rows], w))
+    return len(gf2.row_reduce([gf2.bits_to_int(r) for r in rows]))
 
 
 def span_contains(basis_rows, v) -> bool:
     """Whether bit tuple v lies in the span of the given bit-tuple rows."""
-    w = len(v)
     value = gf2.bits_to_int(v)
-    for piv in gf2.row_reduce([gf2.bits_to_int(r) for r in basis_rows], w):
+    for piv in gf2.row_reduce([gf2.bits_to_int(r) for r in basis_rows]):
         value = min(value, value ^ piv)
     return value == 0
+
+
+def nullspace(rows, width: int):
+    """Basis (list of bit tuples) of {d : d.r = 0 for every row r}; the
+    bit-tuple reference for gf2.nullspace."""
+    packed = gf2.row_reduce([gf2.bits_to_int(r) for r in rows])
+    # Identify pivot columns of the echelon rows, then back-fill free columns.
+    pivot_of_col = {}
+    for row in packed:
+        col = width - row.bit_length()
+        pivot_of_col[col] = row
+    free_cols = [c for c in range(width) if c not in pivot_of_col]
+    basis = []
+    for fc in free_cols:
+        vec = [0] * width
+        vec[fc] = 1
+        # Solve pivot values so every constraint row has even overlap.
+        for col in sorted(pivot_of_col, reverse=True):
+            row = pivot_of_col[col]
+            row_bits = gf2.int_to_bits(row, width)
+            acc = 0
+            for c in range(width):
+                if c != col:
+                    acc ^= row_bits[c] & vec[c]
+            vec[col] = acc
+        basis.append(tuple(vec))
+    return basis
+
+
+def sample_span(basis_rows, rng):
+    """Uniform element of the span of the given (bit tuple) rows; the
+    bit-tuple reference for gf2.sample_span."""
+    rows = [tuple(r) for r in basis_rows]
+    if not rows:
+        raise ValueError("empty basis has no width information")
+    w = len(rows[0])
+    out = (0,) * w
+    indep = gf2.row_reduce([gf2.bits_to_int(r) for r in rows])
+    for piv in indep:
+        if rng.integers(0, 2):
+            out = gf2.xor_vec(out, gf2.int_to_bits(piv, w))
+    return out
+
+
+def solve_affine(constraints, width: int):
+    """Particular solution v with v.a_i = b_i for (a_i, b_i) bit-tuple
+    pairs, or None; the bit-tuple reference for gf2.solve_affine.
+
+    Returns (particular, homogeneous_basis) where the basis spans all
+    solutions of the associated homogeneous system.
+    """
+    # Augmented int rows: constraint vector shifted left once, parity bit last.
+    aug = []
+    for vec, bit in constraints:
+        if len(vec) != width:
+            raise ValueError("constraint width mismatch")
+        aug.append((gf2.bits_to_int(vec) << 1) | (bit & 1))
+    reduced = gf2.row_reduce(aug)
+    for row in reduced:
+        if row == 1:
+            return None  # 0 = 1, inconsistent
+    # Back substitution on echelon rows.
+    particular = [0] * width
+    for row in sorted(reduced):
+        col = width + 1 - row.bit_length()
+        bits = gf2.int_to_bits(row, width + 1)
+        acc = bits[width]
+        for c in range(col + 1, width):
+            acc ^= bits[c] & particular[c]
+        particular[col] = acc
+    homogeneous = nullspace([gf2.int_to_bits(r >> 1, width) for r in reduced],
+                            width)
+    return tuple(particular), homogeneous
+
+
+def sample_solution(constraints, width: int, rng):
+    """Uniform v satisfying all (vector, parity) bit-tuple constraints, or
+    None; the bit-tuple reference for gf2.sample_solution."""
+    solved = solve_affine(constraints, width)
+    if solved is None:
+        return None
+    particular, homogeneous = solved
+    out = particular
+    for hvec in homogeneous:
+        if rng.integers(0, 2):
+            out = gf2.xor_vec(out, hvec)
+    return out
 
 
 def claw_oracle(pp) -> dict:

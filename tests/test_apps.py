@@ -268,6 +268,16 @@ def test_binding_probe_random_states_bounded():
         assert pr0 + pr1 <= 1.0 + 2.0 ** -8 + 1e-9
 
 
+@pytest.mark.parametrize("lam", [1, 2, 4, 8])
+def test_binding_probe_bound_is_reached(lam):
+    """(|0^lam> + H^lam |0^lam>)/norm opens both ways with total
+    probability 1 + 2^(-lam/2), the bound ospsim commit checks."""
+    vec = np.full(1 << lam, 2.0 ** (-lam / 2), dtype=complex)
+    vec[0] += 1
+    pr0, pr1 = apps.binding_probe(qsim.DenseState(vec / np.linalg.norm(vec)))
+    assert abs(pr0 + pr1 - (1 + 2.0 ** (-lam / 2))) <= 1e-9
+
+
 def test_binding_probe_width_limit():
     with pytest.raises(ValueError):
         apps.binding_probe(qsim.basis_descriptor((0,) * 17))

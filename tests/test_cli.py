@@ -78,6 +78,15 @@ def test_commit_command(capsys):
     assert "bit=0 verdict=True" in out and "binding probe" in out
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_commit_command_at_lambda_1(capsys, seed):
+    """A one-qubit probe state may reach 1 + 2^-1/2; it exited 1 when the
+    bound was 1 + 2^-lam."""
+    code = cli.main(["commit", "--lambda", "1", "--seed", str(seed)])
+    assert code == 0
+    assert "bound=1.707107" in capsys.readouterr().out
+
+
 def test_pke_command(capsys):
     code = cli.main(["pke", "--trials", "40", "--seed", "1"])
     out = capsys.readouterr().out

@@ -33,6 +33,19 @@ P 1
     )
 
 
+def test_equal_circuits_hash_equal_and_share_the_memo():
+    text = "QUBITS 3\nH 0\nT 0\nCNOT 0 1\nTDG 1\n"
+    first = delegation.parse_circuit(text)
+    again = delegation.parse_circuit(text.lower())
+    assert again is not first and again == first
+    assert hash(again) == hash(first) == hash((3, first.gates))
+    assert first != delegation.parse_circuit(text + "X 2\n")
+    delegation._key_forms(first, 1)
+    hits = delegation._key_forms.cache_info().hits
+    delegation._key_forms(again, 1)
+    assert delegation._key_forms.cache_info().hits == hits + 1
+
+
 def test_parse_rejects_malformed_input():
     with pytest.raises(ValueError):
         delegation.parse_circuit("H 0\n")  # gate before header

@@ -213,6 +213,18 @@ def test_plane_descriptor_returns_the_shared_grid_instance():
         qsim.plane_descriptor(complex(0.6, 0.8))
 
 
+def test_basis_descriptor_returns_the_shared_one_qubit_instance():
+    for b in (0, 1):
+        basis = qsim.basis_descriptor((b,))
+        assert basis is qsim.basis_descriptor((b,))
+        assert basis is qsim.basis_descriptor([np.int64(b)])
+        assert basis == TwoBranchState(1, (b,), (b,))
+        assert osp.PREPARED_STATES[True, b] is basis
+    assert qsim.basis_descriptor((1, 0)) == TwoBranchState(2, (1, 0), (1, 0))
+    with pytest.raises(ValueError):
+        qsim.basis_descriptor((2,))
+
+
 def test_collapse_differing_keep_matches_contract():
     # u=(0,0,0), v=(1,1,1), keep last: residual Z^{d.(1,1)}|+>, d uniform.
     rng = np.random.default_rng(123)
@@ -267,7 +279,8 @@ def test_collapse_agreeing_keep_draws_as_sample_solution():
         parity = {1: 0, -1: 1}.get(phase)
         if parity is None:
             parity = int(ref.random() < 0.5)
-        assert d == gf2.sample_solution([(diff, parity)], width - 1, ref)
+        assert gf2.bits_to_int(d) == gf2.sample_solution(
+            [(gf2.bits_to_int(diff), parity)], width - 1, ref)
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -360,6 +373,20 @@ def test_affine_three_bit_example():
 def test_affine_dependent_rows_normalized():
     state = AffineBranchState(3, ((1, 1, 0), (1, 1, 0)), (0,) * 3, (1, 1, 1))
     assert state.dimension == 1
+
+
+def test_affine_dual_and_diff_are_packed_once_and_not_compared():
+    state = AffineBranchState(4, ((1, 1, 0, 0), (0, 1, 1, 0)), (0, 0, 0, 1),
+                              (1, 0, 0, 1))
+    assert state.diff == 0b1000
+    assert len(state.dual) == 2
+    for d in state.dual:
+        for row in state.basis:
+            assert (d & gf2.bits_to_int(row)).bit_count() % 2 == 0
+    same = AffineBranchState(4, ((1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0)),
+                             (0, 0, 0, 1), (1, 0, 0, 1))
+    assert same == state and hash(same) == hash(state)
+    assert "dual" not in repr(state) and "diff" not in repr(state)
 
 
 def test_affine_densify_matches_definition():
