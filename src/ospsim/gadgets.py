@@ -36,7 +36,8 @@ def _prepared(b: int, rng, source):
     if the helper is the canonical H^b|s> for the bit s the source reported,
     so any other helper raises ValueError."""
     s, helper = source(b, rng)
-    if helper != osp.PREPARED_STATES.get((b == 0, s)):
+    want = osp.PREPARED_STATES.get((b == 0, s))
+    if helper is not want and helper != want:
         raise ValueError("source helper is not H^b|s> for the bit s it "
                          "reported")
     return s, helper

@@ -197,26 +197,21 @@ def two_round_receiver(pp, rng):
     if pp.mode == "plain":
         raise ValueError("two-round receiver needs the dual-mode family")
     b_in = int(rng.integers(0, 2))
-    x = rng.integers(0, 2, n).tolist()
-    y = tcf.eval(pp, b_in, x)
-    y_int = gf2.bits_to_int(y)
+    x = gf2.bits_to_int(rng.integers(0, 2, n).tolist())
+    y_int = pp.table[b_in][x]
+    y = gf2.int_to_bits(y_int, pp.m)
     # Each row holds distinct values, so an image has at most one
     # preimage per branch.
-    pre = [(b, row.index(y_int)) for b, row in enumerate(pp.table)
-           if y_int in row]
-    if len(pre) == 2:
-        (b0, x0), (b1, x1) = pre
-        joint = qsim.TwoBranchState(
-            n + 1,
-            (b0,) + gf2.int_to_bits(x0, n),
-            (b1,) + gf2.int_to_bits(x1, n),
-            1,
-        )
-        d, residual = qsim.collapse_two_branch(joint, 0, rng)
-    else:
+    try:
+        x_other = pp.table[1 - b_in].index(y_int)
+    except ValueError:
         d = tuple(int(t) for t in rng.integers(0, 2, n))
-        residual = qsim.basis_descriptor((b_in,))
-    return y, d, residual
+        return y, d, qsim.basis_descriptor((b_in,))
+    # Hadamard outcomes d on the x register of (|0>|x0> + |1>|x1>)/sqrt2
+    # are uniform and leave (|0> + (-1)^(d.(x0 ^ x1))|1>)/sqrt2 behind.
+    d = qsim._uniform_bits(rng, n)
+    odd = (gf2.bits_to_int(d) & (x ^ x_other)).bit_count() & 1
+    return y, tuple(d), qsim.plane_descriptor(-1 if odd else 1)
 
 
 def _dual_family(mode: int, n: int, rng):

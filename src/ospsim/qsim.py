@@ -479,6 +479,13 @@ def densify(state) -> DenseState:
     return state.densify()
 
 
+def _uniform_bits(rng, count: int) -> list:
+    """count uniform bits, one scalar rng.integers(0, 2) each, in order: how
+    every unbiased Hadamard outcome of a branch pair is drawn."""
+    integers = rng.integers
+    return [int(integers(0, 2)) for _ in range(count)]
+
+
 def collapse_two_branch(state: TwoBranchState, keep: int, rng):
     """Hadamard-measure every qubit except `keep`.
 
@@ -490,15 +497,11 @@ def collapse_two_branch(state: TwoBranchState, keep: int, rng):
         raise ValueError("collapse needs at least one qubit besides keep")
     if not 0 <= keep < state.width:
         raise ValueError("keep index out of range")
-    others = [i for i in range(state.width) if i != keep]
-    u_rest = tuple(state.u[i] for i in others)
-    v_rest = tuple(state.v[i] for i in others)
-    diff = gf2.xor_vec(u_rest, v_rest)
-    w = len(others)
-
+    w = state.width - 1
     if state.is_basis:
-        d = tuple(int(rng.integers(0, 2)) for _ in range(w))
-        return d, basis_descriptor((state.u[keep],))
+        return tuple(_uniform_bits(rng, w)), basis_descriptor((state.u[keep],))
+    diff = gf2.xor_vec(state.u, state.v)
+    diff = diff[:keep] + diff[keep + 1:]
 
     if state.u[keep] == state.v[keep]:
         # Branches agree on the kept qubit: it comes out classical and the
@@ -515,13 +518,14 @@ def collapse_two_branch(state: TwoBranchState, keep: int, rng):
         # as gf2.sample_solution draws it: a coin per free column in
         # order, then the pivot, the first column diff has set.
         pivot = diff.index(1)
-        d = [0 if c == pivot else int(rng.integers(0, 2)) for c in range(w)]
+        d = _uniform_bits(rng, w - 1)
+        d.insert(pivot, 0)
         d[pivot] = parity ^ gf2.dot(d, diff)
         return tuple(d), basis_descriptor((state.u[keep],))
 
     # Branches differ on the kept qubit: every d is equally likely and the
     # kept qubit keeps a (possibly phase-twisted) superposition.
-    d = tuple(int(rng.integers(0, 2)) for _ in range(w))
+    d = tuple(_uniform_bits(rng, w))
     q = state.phase * (-1) ** gf2.dot(d, diff)
     if state.u[keep] == 0:
         residual = plane_descriptor(q)

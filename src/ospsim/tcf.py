@@ -22,8 +22,9 @@ in this order:
 1. the shift: integers(1, 2^n) for the plain family; for the dual family
    integers(mu, 2^(n-k)), so it is zero on the k prefix bits and, in lossy
    mode, nonzero on the rest;
-2. dual family only: the prefix set S, the first delta*2^k entries of
-   permutation(2^k);
+2. dual family only, when k > 0: the prefix set S, the first delta*2^k
+   entries of permutation(2^k).  At k = 0 S is {0} and nothing is drawn,
+   as a permutation of one point would draw nothing;
 3. pi, as permutation(2^m).
 
 Tables are tuples of int rows read as table[b][x] (the plain family has one
@@ -43,6 +44,9 @@ from . import gf2
 # The widest input: a dual family's n + 2 output bits fill the 20-qubit
 # dense budget.
 MAX_N = 18
+
+_ONE = Fraction(1)
+_PREFIX_ZERO = frozenset({0})
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ class TcfSecret:
     shift: tuple
     prefix_set: frozenset  # k-bit ints
     perm_inverse: tuple = field(repr=False, compare=False)
-    delta_param: Fraction = Fraction(1)
+    delta_param: Fraction = _ONE
     public: TcfPublic = field(repr=False, compare=False, default=None)
 
 
@@ -78,22 +82,26 @@ def gen(family: str, mu: int, n: int, k: int, delta, seed: int):
 
     family "plain" ignores mu and requires k=0, delta=1.  family "dual"
     produces the lossy map when mu=1 and the branch-disjoint map when mu=0.
+    delta is anything Fraction() reads; it is checked on its numerator and
+    denominator.
     """
-    delta = Fraction(delta)
+    if not isinstance(delta, (int, Fraction)):
+        delta = Fraction(delta)
+    num, den = delta.numerator, delta.denominator
     if not 1 <= n <= MAX_N:
         raise ValueError("n must lie in [1, %d]" % MAX_N)
-    if not 0 < delta <= 1:
+    if not 0 < num <= den:
         raise ValueError("delta must lie in (0, 1]")
-    scaled = delta * (1 << k)
-    if scaled.denominator != 1:
+    scaled, rest = divmod(num << k, den)
+    if rest:
         raise ValueError("delta * 2^k must be integral")
     rng = np.random.default_rng(seed)
     if family == "plain":
-        if k != 0 or delta != 1:
+        if k != 0 or num != den:
             raise ValueError("plain family supports only k=0, delta=1")
         mode, m = "plain", n
         shift_int = int(rng.integers(1, 1 << n))
-        prefix_set = frozenset({0})
+        prefix_set = _PREFIX_ZERO
     elif family == "dual":
         if k >= n and mu:
             raise ValueError("lossy mode needs at least one non-prefix bit")
@@ -101,7 +109,10 @@ def gen(family: str, mu: int, n: int, k: int, delta, seed: int):
         # Shift is zero on the k prefix bits (the high ones) and, in lossy
         # mode, nonzero on the rest.
         shift_int = int(rng.integers(1 if mu else 0, 1 << (n - k)))
-        prefix_set = frozenset(rng.permutation(1 << k)[:int(scaled)].tolist())
+        if k:
+            prefix_set = frozenset(rng.permutation(1 << k)[:scaled].tolist())
+        else:
+            prefix_set = _PREFIX_ZERO
     else:
         raise ValueError("family must be 'plain' or 'dual'")
     perm = rng.permutation(1 << m).tolist()
@@ -109,18 +120,16 @@ def gen(family: str, mu: int, n: int, k: int, delta, seed: int):
     if mode == "plain":
         table = (tuple(perm[min(x, x ^ shift_int)] for x in range(1 << n)),)
     else:
-        # Row b holds F(b, x): in lossy mode the shared claw image
-        # x xor b*shift when x's prefix lies in S, else the tagged 1||x||b.
-        row0, row1 = [], []
+        # Row b holds F(b, x): the tagged 1||x||b, except in lossy mode
+        # where x's prefix lies in S, which maps to the shared claw image
+        # x xor b*shift.  The shift stays inside a prefix's block.
         tag, low = 1 << (n + 1), n - k
-        for x in range(1 << n):
-            if mu and x >> low in prefix_set:
-                row0.append(perm[x])
-                row1.append(perm[x ^ shift_int])
-            else:
-                w = tag | (x << 1)
-                row0.append(perm[w])
-                row1.append(perm[w | 1])
+        row0, row1 = perm[tag::2], perm[tag + 1::2]
+        if mu:
+            for prefix in prefix_set:
+                lo, hi = prefix << low, (prefix + 1) << low
+                row0[lo:hi] = perm[lo:hi]
+                row1[lo:hi] = [perm[x ^ shift_int] for x in range(lo, hi)]
         table = (tuple(row0), tuple(row1))
 
     perm_inverse = [0] * len(perm)
@@ -131,7 +140,7 @@ def gen(family: str, mu: int, n: int, k: int, delta, seed: int):
         shift=gf2.int_to_bits(shift_int, n),
         prefix_set=prefix_set,
         perm_inverse=tuple(perm_inverse),
-        delta_param=delta,
+        delta_param=_ONE if num == den else delta,
         public=pp,
     )
     return pp, sp

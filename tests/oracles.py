@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ospsim import cvqc, delegation, gadgets, gf2, osp, qsim
+from ospsim import cvqc, delegation, gadgets, gf2, osp, qsim, tcf
 
 
 def basis_vector(basis, outcome: int) -> np.ndarray:
@@ -140,6 +140,44 @@ def claw_oracle(pp) -> dict:
             x = gf2.int_to_bits(xi, pp.n)
             out.setdefault(y, []).append(x if pp.mode == "plain" else (b, x))
     return {y: tuple(v) for y, v in out.items()}
+
+
+def same_stream(fn, oracle, seed, *args):
+    """Run fn and oracle on twin generators seeded alike; return their
+    common output, or fail when the outputs or the final generator states
+    differ."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = fn(*args, ours), oracle(*args, theirs)
+    assert got == want, (got, want)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    return got
+
+
+def two_round_receiver(pp, rng):
+    """The two-round receiver through the general branch-pair collapse;
+    the reference for osp.two_round_receiver."""
+    n = pp.n
+    if pp.mode == "plain":
+        raise ValueError("two-round receiver needs the dual-mode family")
+    b_in = int(rng.integers(0, 2))
+    x = rng.integers(0, 2, n).tolist()
+    y = tcf.eval(pp, b_in, x)
+    y_int = gf2.bits_to_int(y)
+    pre = [(b, row.index(y_int)) for b, row in enumerate(pp.table)
+           if y_int in row]
+    if len(pre) == 2:
+        (b0, x0), (b1, x1) = pre
+        joint = qsim.TwoBranchState(
+            n + 1,
+            (b0,) + gf2.int_to_bits(x0, n),
+            (b1,) + gf2.int_to_bits(x1, n),
+            1,
+        )
+        d, residual = qsim.collapse_two_branch(joint, 0, rng)
+    else:
+        d = tuple(int(t) for t in rng.integers(0, 2, n))
+        residual = qsim.basis_descriptor((b_in,))
+    return y, d, residual
 
 
 def standard_epsilon_config(epsilon, lam: int) -> osp.EpsilonOspConfig:

@@ -167,6 +167,23 @@ def test_phase_gadget_rejects_a_basis_state_helper():
         gadgets.phase_readout(1, rng_for(0), source)
 
 
+def test_phase_gadget_accepts_an_equal_copy_of_the_canonical_helper():
+    # the canonical helpers are shared instances, checked by identity
+    # first; an equal but separately built one still passes, with the
+    # same draws
+    def source(b, rng):
+        s, helper = osp.ideal_stub_source(b, rng)
+        return s, qsim.TwoBranchState(1, helper.u, helper.v, helper.phase)
+
+    for b in (0, 1):
+        rng, oracle_rng = rng_for(5), rng_for(5)
+        for _ in range(8):
+            got = gadgets.phase_readout(b, rng, source)
+            want = gadgets.phase_readout(b, oracle_rng)
+            assert got[1:] == want[1:] and np.array_equal(got[0], want[0])
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 # ------------------------------------------------------------- CNOT gadget
 
 

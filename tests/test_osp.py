@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (apply_bit_function, drop_qubits, standard_epsilon_config,
                      uniform_state)
 from ospsim import apps, gf2, osp, qsim, tcf
@@ -277,6 +278,36 @@ def test_two_round_dense_receiver_oracle():
                 assert s is not None
                 expected = qsim.plane_descriptor(-1 if s else 1)
             assert qsim.fidelity(residual, expected) >= 1 - 1e-9
+
+
+def _receiver_families():
+    """(mode, n, k, delta) for n = 1..6, both modes, k in {0, 1, 2} and
+    delta in {1, 1/2}: lossy families at k > 0 mix images with one and
+    with two preimages."""
+    for mode in (0, 1):
+        for n in range(1, 7):
+            for k in range(min(n, 3)):
+                for delta in (1, Fraction(1, 2)) if k else (1,):
+                    yield mode, n, k, delta
+
+
+def test_two_round_receiver_matches_its_oracle():
+    draws, kinds = 0, set()
+    for mode, n, k, delta in _receiver_families():
+        for family_seed in range(3):
+            pp, _ = tcf.gen("dual", mode, n, k, delta, 100 * n + family_seed)
+            for seed in range(15):
+                _, _, residual = oracles.same_stream(
+                    osp.two_round_receiver, oracles.two_round_receiver,
+                    [mode, n, k, family_seed, seed], pp)
+                kinds.add((mode, k, residual.is_basis))
+                draws += 1
+    assert draws >= 2000
+    # disjoint images always have one preimage; lossy ones have two, and
+    # at k > 0 with delta 1/2 also one
+    assert {(0, k, True) for k in (0, 1, 2)} <= kinds
+    assert {(1, k, False) for k in (0, 1, 2)} | {(1, 1, True)} <= kinds
+    assert (0, 0, False) not in kinds and (1, 0, True) not in kinds
 
 
 def test_two_round_s_roughly_uniform():

@@ -66,6 +66,33 @@ def test_gen_validations():
         tcf.gen("nope", 0, 4, 0, 1, 0)
 
 
+@pytest.mark.parametrize("family, mu, n", [("plain", 0, 4), ("dual", 1, 3),
+                                           ("dual", 0, 3)])
+def test_every_spelling_of_delta_one_builds_the_same_family(family, mu, n):
+    built = [tcf.gen(family, mu, n, 0, delta, 17)
+             for delta in (1, 1.0, Fraction(1), "1")]
+    pp, sp = built[0]
+    for other_pp, other_sp in built[1:]:
+        assert other_pp == pp and other_pp.table == pp.table
+        assert other_sp == sp and other_sp.perm_inverse == sp.perm_inverse
+        assert other_sp.delta_param is sp.delta_param == 1
+
+
+@pytest.mark.parametrize("delta, message", [
+    (0, "delta must lie in (0, 1]"),
+    (Fraction(0), "delta must lie in (0, 1]"),
+    (Fraction(3, 2), "delta must lie in (0, 1]"),
+    ("3/2", "delta must lie in (0, 1]"),
+    (1.5, "delta must lie in (0, 1]"),
+    (Fraction(1, 3), "delta * 2^k must be integral"),
+    ("1/3", "delta * 2^k must be integral"),
+])
+def test_a_bad_delta_at_k_two_keeps_its_message(delta, message):
+    with pytest.raises(ValueError) as caught:
+        tcf.gen("dual", 1, 4, 2, delta, 0)
+    assert str(caught.value) == message
+
+
 def test_shift_respects_prefix_zeros():
     pp, sp = tcf.gen("dual", 1, 6, 2, Fraction(1, 2), 5)
     assert sp.shift[:2] == (0, 0)
